@@ -15,10 +15,9 @@
  *
  *  2. Closed-loop ticks/s per backend — the receding-horizon MPC
  *     loop (warm-start shift + one solver iteration per tick) of
- *     MpcWorkload::solveClosedLoop on the CPU batched backend and
- *     the analytic accelerator backend. This path replaces the
- *     synthetic Riccati sweep: the solver phase is a real backward
- *     pass over real ∆FD linearizations.
+ *     app::solveClosedLoop on the CPU batched backend and the
+ *     analytic accelerator backend: a real backward pass over real
+ *     ∆FD linearizations.
  *
  *  3. MPC serving — M closed-loop clients (scenario mix) tick
  *     concurrently against the async DynamicsServer over two
@@ -29,7 +28,7 @@
  *
  * --trace additionally records the serving section's job lifecycle
  * (per-lane rings plus one claimed ring per MPC client, wired by
- * MpcWorkload::serveClosedLoopClients via MpcSession::attachTrace)
+ * app::serveClosedLoopClients via MpcSession::attachTrace)
  * and exports trace_mpc.json.
  */
 
@@ -37,7 +36,7 @@
 
 #include <string>
 
-#include "app/mpc_workload.h"
+#include "app/closed_loop.h"
 #include "ctrl/ilqr.h"
 #include "ctrl/scenarios.h"
 #include "runtime/backends.h"
@@ -93,15 +92,15 @@ main(int argc, char **argv)
                 "ticks/s", "track err", "jobs");
     for (const EvalEntry &e : evalRobots()) {
         const RobotModel robot = e.make();
-        app::MpcWorkload workload(robot);
         Accelerator accel(robot);
 
         runtime::CpuBatchedBackend cpu(robot, 4);
         runtime::AnalyticBackend analytic(accel);
         runtime::DynamicsBackend *backends[] = {&cpu, &analytic};
         for (runtime::DynamicsBackend *b : backends) {
+            runtime::DynamicsServer server(*b);
             const app::ClosedLoopReport r =
-                workload.solveClosedLoop(*b, kClosedLoopTicks);
+                app::solveClosedLoop(robot, server, kClosedLoopTicks);
             std::printf("%-6s %-16s %10.0f %10.4f %10zu\n", e.name,
                         b->name(), r.ticks_per_s, r.tracking_err,
                         r.jobs);
@@ -115,7 +114,6 @@ main(int argc, char **argv)
     // ---- 3. MPC serving: M clients on the async server -----------
     {
         const RobotModel robot = model::makeIiwa();
-        app::MpcWorkload workload(robot);
         Accelerator accel(robot);
         runtime::AnalyticBackend lane0(accel);
         auto lane1 = lane0.clone();
@@ -135,8 +133,8 @@ main(int argc, char **argv)
         }
         server.setPolicy(cfg);
 
-        const app::ClosedLoopReport r = workload.serveClosedLoopClients(
-            server, kServeClients, kServeTicks, kServeSlack);
+        const app::ClosedLoopReport r = app::serveClosedLoopClients(
+            robot, server, kServeClients, kServeTicks, kServeSlack);
         if (want_trace && server.traceBuffer()) {
             const char *path = "trace_mpc.json";
             if (runtime::obs::writeChromeTrace(*server.traceBuffer(),

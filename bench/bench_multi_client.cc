@@ -12,12 +12,15 @@
  *     the executed number is cross-checked against the closed-form
  *     app::scheduleShardedUs model);
  *
- *  2. multi-client MPC traffic: M client threads each submit rounds
- *     of their LQ ∆FD batch (sharded across all instances) plus the
- *     Fig. 13 serial-stage rollout (least-loaded lane) and block on
- *     their own jobs — the heavy-traffic serving pattern of the
- *     ROADMAP north star. Throughput is tasks over the busiest
- *     lane's accumulated backend time (the serving makespan).
+ *  2. closed-loop MPC clients: app::serveClosedLoopClients runs M
+ *     iLQR sessions on their own threads against the server, their
+ *     ∆FD batches sharded across all instances and their FD rollouts
+ *     on the least-loaded lane. The shards are AnalyticBackend
+ *     clones. Throughput is tasks over the busiest lane's
+ *     accumulated backend time (the serving makespan).
+ *
+ * All times are modeled accelerator time; their JSON keys carry the
+ * _model suffix.
  *
  * Every accelerator instance past the first is a clone() of the one
  * fitted bitstream — no re-fit, no SAP recompilation — mirroring how
@@ -30,7 +33,7 @@
 
 #include <memory>
 
-#include "app/mpc_workload.h"
+#include "app/closed_loop.h"
 #include "app/scheduler.h"
 #include "runtime/backends.h"
 #include "runtime/server.h"
@@ -43,7 +46,7 @@ namespace {
 /** Register @p base plus shards-1 clones; clones owned by @p owned. */
 void
 registerShards(runtime::DynamicsServer &server,
-               runtime::AcceleratorBackend &base, int shards,
+               runtime::DynamicsBackend &base, int shards,
                std::vector<std::unique_ptr<runtime::DynamicsBackend>> &owned)
 {
     server.addBackend(base);
@@ -93,44 +96,42 @@ main(int argc, char **argv)
         const double scale = flat_us_1 / executed;
         std::printf("%8d %14.1f %14.1f %10.2f %7.2fx\n", shards,
                     executed, model, executed / model, scale);
-        report.add("flat_" + std::to_string(shards) + "shard_us",
-                   executed);
-        report.add("flat_model_ratio_" + std::to_string(shards),
+        const std::string k = std::to_string(shards);
+        report.add("flat_" + k + "shard_us_model", executed);
+        report.add("flat_" + k + "shard_over_formula_model",
                    executed / model);
         if (shards > 1)
-            report.add("flat_scale_" + std::to_string(shards) + "shards",
-                       scale);
+            report.add("flat_scale_" + k + "shards_model", scale);
     }
 
     // ------------------------------------------------------ scenario 2
-    const int clients = 4, rounds = 2;
-    app::MpcConfig cfg;
-    cfg.horizon_points = 160;
-    app::MpcWorkload workload(robot, cfg);
-    std::printf("\nmulti-client MPC traffic (%d clients x %d rounds, "
-                "%d-point horizon):\n",
-                clients, rounds, cfg.horizon_points);
+    const int clients = 4, ticks = 20;
+    runtime::AnalyticBackend analytic(accel);
+    std::printf("\nclosed-loop MPC clients (%d clients x %d ticks, "
+                "analytic shards):\n",
+                clients, ticks);
     std::printf("%8s %14s %14s %12s %8s\n", "shards", "makespan us",
                 "busy us", "Mtasks/s", "scale");
     double makespan_1 = 0.0;
     for (int shards : shard_counts) {
         std::vector<std::unique_ptr<runtime::DynamicsBackend>> owned;
         runtime::DynamicsServer server;
-        registerShards(server, base, shards, owned);
-        const app::MultiClientReport r =
-            workload.serveMultiClient(server, clients, rounds);
+        registerShards(server, analytic, shards, owned);
+        const app::ClosedLoopReport r =
+            app::serveClosedLoopClients(robot, server, clients, ticks);
         if (shards == 1)
             makespan_1 = r.makespan_us;
         const double scale = makespan_1 / r.makespan_us;
+        const double mtasks = r.tasks / r.makespan_us;
         std::printf("%8d %14.1f %14.1f %12.3f %7.2fx\n", shards,
-                    r.makespan_us, r.busy_us, r.throughput_mtasks,
-                    scale);
+                    r.makespan_us, r.busy_us, mtasks, scale);
         const std::string k = std::to_string(shards);
-        report.add("server_" + k + "shard_makespan_us", r.makespan_us);
-        report.add("server_" + k + "shard_throughput_mtasks",
-                   r.throughput_mtasks);
+        report.add("server_" + k + "shard_makespan_us_model",
+                   r.makespan_us);
+        report.add("server_" + k + "shard_throughput_mtasks_model",
+                   mtasks);
         if (shards > 1)
-            report.add("server_scale_" + k + "shards", scale);
+            report.add("server_scale_" + k + "shards_model", scale);
     }
 
     maybeWriteJson(argc, argv, report, "BENCH_server.json");

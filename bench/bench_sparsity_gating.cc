@@ -45,9 +45,10 @@
 
 #include "algorithms/batched.h"
 #include "algorithms/col_gating.h"
-#include "app/mpc_workload.h"
+#include "app/closed_loop.h"
 #include "ctrl/problem.h"
 #include "runtime/backends.h"
+#include "runtime/server.h"
 
 using namespace dadu;
 using namespace dadu::bench;
@@ -254,7 +255,6 @@ mpcSection(JsonReport &report)
         const int ticks = robot.nv() <= 10    ? 360
                           : robot.nv() <= 20 ? 240
                                              : 120;
-        app::MpcWorkload workload(robot);
         runtime::CpuBatchedBackend cpu(robot, 4);
 
         ctrl::IlqrOptions gated;
@@ -268,8 +268,9 @@ mpcSection(JsonReport &report)
         app::ClosedLoopReport off, on;
         double best_off = 0.0, best_on = 0.0;
         for (int r = 0; r < rounds; ++r) {
-            off = workload.solveClosedLoop(cpu, ticks);
-            on = workload.solveClosedLoop(cpu, ticks, gated);
+            runtime::DynamicsServer off_server(cpu), on_server(cpu);
+            off = app::solveClosedLoop(robot, off_server, ticks);
+            on = app::solveClosedLoop(robot, on_server, ticks, gated);
             best_off = std::max(best_off, off.ticks_per_s);
             best_on = std::max(best_on, on.ticks_per_s);
         }

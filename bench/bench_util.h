@@ -11,6 +11,7 @@
 #ifndef DADU_BENCH_BENCH_UTIL_H
 #define DADU_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -78,6 +79,17 @@ randomBatch(const RobotModel &robot, int n, unsigned seed = 7)
 
 /** Monotonic wall clock in microseconds. */
 using perf::nowUs;
+
+/** Median of @p v (taken by value: sorted in place). */
+inline double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0.0;
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
 
 /** True when @p flag (e.g. "--json") appears in argv. */
 inline bool

@@ -1,20 +1,24 @@
 /**
  * @file
- * Whole-body MPC for the quadruped-with-arm (the Fig. 3 robot):
- * runs LQ-approximation iterations with the dynamics submitted
- * through the unified runtime layer, and reports the achievable
- * control frequency per backend — multi-threaded CPU, cycle-accurate
- * accelerator simulation, and the closed-form analytic model — the
- * end-to-end scenario of Section VI-B behind one DynamicsBackend
- * interface.
+ * Whole-body MPC for the quadruped-with-arm (the Fig. 3 robot): a
+ * real iLQR closed loop (reaching scenario) whose dynamics go through
+ * the unified runtime layer, run once per backend — multi-threaded
+ * CPU, cycle-accurate accelerator simulation, and the closed-form
+ * analytic model — the end-to-end scenario of Section VI-B behind one
+ * DynamicsBackend interface.
+ *
+ * Tick rates are host wall clock. The dynamics time per tick is read
+ * from the server's metrics registry in the backend's clock: measured
+ * on the CPU, modeled on the two accelerator backends.
  */
 
 #include <cstdio>
 
 #include "accel/accelerator.h"
-#include "app/mpc_workload.h"
+#include "app/closed_loop.h"
 #include "model/builders.h"
 #include "runtime/backends.h"
+#include "runtime/server.h"
 
 int
 main()
@@ -26,58 +30,38 @@ main()
                 "walkthrough configuration\n",
                 robot.name().c_str(), robot.nb(), robot.nv());
 
-    app::MpcConfig cfg;
-    cfg.horizon_points = 100; // 1 s horizon at 10 ms steps
-    app::MpcWorkload mpc(robot, cfg);
-
-    const app::MpcBreakdown b = mpc.measureCpu();
-    std::printf("\none MPC iteration on the host CPU:\n");
-    std::printf("  LQ approximation: %8.0f us (%.0f%%)\n", b.lq_us,
-                100.0 * b.lq_us / b.total());
-    std::printf("  RK4 rollout:      %8.0f us (%.0f%%)\n",
-                b.rollout_us, 100.0 * b.rollout_us / b.total());
-    std::printf("  Riccati solver:   %8.0f us (%.0f%%)\n", b.solver_us,
-                100.0 * b.solver_us / b.total());
-
     accel::Accelerator dadu(robot);
-    std::printf("\naccelerator: %s\n", dadu.plan().summary().c_str());
+    std::printf("accelerator: %s\n", dadu.plan().summary().c_str());
 
-    for (int threads : {1, 4, 12}) {
-        const double t = mpc.cpuIterationUs(threads);
-        std::printf("CPU x%-2d: %8.0f us/iter -> %6.1f Hz\n", threads,
-                    t, 1e6 / t);
-    }
-
-    // Every execution path is a DynamicsBackend; the workload
-    // submits the same request batches to each (the accelerated
-    // number runs on the cycle-accurate simulator).
+    runtime::CpuBatchedBackend cpu_backend(robot, 4);
     runtime::AcceleratorBackend sim_backend(dadu);
     runtime::AnalyticBackend analytic_backend(dadu);
-    runtime::DynamicsBackend *backends[] = {&mpc.cpuBackend(),
-                                            &sim_backend,
+    runtime::DynamicsBackend *backends[] = {&cpu_backend, &sim_backend,
                                             &analytic_backend};
-    std::printf("\nthrough the runtime layer "
-                "(workload -> DynamicsServer -> backend):\n");
-    for (runtime::DynamicsBackend *backend : backends) {
-        const double t = mpc.backendIterationUs(*backend);
-        std::printf("%-16s %8.0f us/iter -> %6.1f Hz\n",
-                    backend->name(), t, 1e6 / t);
-    }
 
-    // Heavy traffic: four MPC clients served concurrently by the
-    // asynchronous server over two cloned accelerator instances
-    // (the one fitted bitstream programmed onto a second device).
-    auto second = sim_backend.clone();
-    runtime::DynamicsServer server;
-    server.addBackend(sim_backend);
-    server.addBackend(*second);
-    const app::MultiClientReport r = mpc.serveMultiClient(server, 4);
-    std::printf("\n4 MPC clients on 2 accelerator shards "
-                "(async DynamicsServer):\n");
-    std::printf("  serving makespan: %8.0f us  (%.1f us busy across "
-                "lanes)\n",
-                r.makespan_us, r.busy_us);
-    std::printf("  throughput:       %8.2f Mtasks/s over %zu jobs\n",
-                r.throughput_mtasks, r.jobs);
+    const int ticks = 40;
+    std::printf("\n%d closed-loop ticks per backend "
+                "(MpcSession -> DynamicsServer -> backend):\n",
+                ticks);
+    std::printf("%-16s %10s %10s %22s %10s\n", "backend", "ticks/s",
+                "jobs/tick", "dynamics us/tick", "track err");
+    for (runtime::DynamicsBackend *backend : backends) {
+        runtime::DynamicsServer server(*backend);
+        runtime::sched::SchedConfig cfg;
+        cfg.obs.metrics = true;
+        server.setPolicy(cfg);
+        const app::ClosedLoopReport r =
+            app::solveClosedLoop(robot, server, ticks);
+        const double dynamics_us =
+            server.metricsRegistry()
+                ->mergedHistogram(false, runtime::obs::LatKind::Service)
+                .sumUs() /
+            r.ticks;
+        std::printf("%-16s %10.0f %10.1f %12.1f (%s) %10.4f\n",
+                    backend->name(), r.ticks_per_s,
+                    static_cast<double>(r.jobs) / r.ticks, dynamics_us,
+                    backend->offloaded() ? "modeled" : "measured",
+                    r.tracking_err);
+    }
     return 0;
 }

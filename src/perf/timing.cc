@@ -94,21 +94,4 @@ hostLatencyUs(const RobotModel &robot, FunctionType fn, int tasks,
     return 0.0;
 }
 
-double
-threadScaling(int threads)
-{
-    // Saturating curve fit to Fig. 2b: near-linear to 4 threads,
-    // flattening beyond 8 (memory-bound forward/backward sweeps).
-    const double t = threads;
-    return t / (1.0 + 0.09 * (t - 1.0) + 0.012 * (t - 1.0) * (t - 1.0));
-}
-
-double
-hostThroughputMtasks(const RobotModel &robot, FunctionType fn,
-                     int threads)
-{
-    const double lat = hostLatencyUs(robot, fn);
-    return threadScaling(threads) / lat;
-}
-
 } // namespace dadu::perf

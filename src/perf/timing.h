@@ -24,8 +24,8 @@ using model::RobotModel;
 
 /**
  * Monotonic wall clock in microseconds — the one timing source for
- * every measured path (workload phases, CPU-backend batch stats,
- * bench harness rounds).
+ * every measured path (CPU-backend batch stats, closed-loop tick
+ * streams, bench harness rounds).
  */
 inline double
 nowUs()
@@ -46,20 +46,6 @@ double timeUs(const std::function<void()> &fn, int reps);
  */
 double hostLatencyUs(const RobotModel &robot, FunctionType fn,
                      int tasks = 32, int reps = 20);
-
-/**
- * Host-CPU throughput model in million tasks/s for @p threads
- * threads: measured single-thread rate scaled by a saturating
- * parallel-efficiency curve (Fig. 2b behaviour: dynamics is
- * memory-bound, so scaling flattens). On this container only one
- * core is available, so multi-thread numbers are a documented model
- * on top of the measured single-thread rate.
- */
-double hostThroughputMtasks(const RobotModel &robot, FunctionType fn,
-                            int threads);
-
-/** The saturating thread-scaling factor used above. */
-double threadScaling(int threads);
 
 } // namespace dadu::perf
 

@@ -254,20 +254,6 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
 }
 
 void
-CpuBatchedBackend::submitColumns(FunctionType fn, const VectorX *q,
-                                 const VectorX *qd, const VectorX *tau,
-                                 std::size_t count, DynamicsResult *results,
-                                 BatchStats *stats)
-{
-    assert((fn == FunctionType::FD || fn == FunctionType::DeltaFD ||
-            fn == FunctionType::Minv) &&
-           "submitColumns covers the engine-shaped functions only");
-    const double t0 = nowUs();
-    runEngine(fn, q, qd, tau, count, results);
-    fillMeasuredStats(stats, nowUs() - t0, count);
-}
-
-void
 CpuBatchedBackend::runEngine(FunctionType fn, const VectorX *q,
                              const VectorX *qd, const VectorX *tau,
                              std::size_t count, DynamicsResult *results,

@@ -76,23 +76,11 @@ class CpuBatchedBackend : public DynamicsBackend
                         BatchStats *stats = nullptr) override;
     using DynamicsBackend::submit;
 
-    /**
-     * Columnar fast path for callers that already hold
-     * struct-of-arrays inputs (the MPC workload's horizon vectors):
-     * same semantics as submit() for the engine-shaped functions
-     * (FD / ∆FD / M⁻¹, no external forces), minus the AoS staging
-     * copy. @p qd and @p tau may be null for Minv.
-     */
-    void submitColumns(FunctionType fn, const VectorX *q,
-                       const VectorX *qd, const VectorX *tau,
-                       std::size_t count, DynamicsResult *results,
-                       BatchStats *stats = nullptr);
-
     /** The wrapped engine (e.g. for thread-count introspection). */
     algo::BatchedDynamics &engine() { return engine_; }
 
   private:
-    /** Engine dispatch + result copy shared by both submit paths. */
+    /** Engine dispatch + result copy over the staged columns. */
     void runEngine(FunctionType fn, const VectorX *q, const VectorX *qd,
                    const VectorX *tau, std::size_t count,
                    DynamicsResult *results,

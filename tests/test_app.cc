@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the end-to-end MPC workload, the thread pool and the
- * Fig. 13 scheduler.
+ * Tests for the thread pool and the Fig. 13 scheduler models (the
+ * closed-loop MPC drivers are tested in test_ctrl).
  */
 
 #include <gtest/gtest.h>
@@ -10,17 +10,12 @@
 #include <thread>
 #include <vector>
 
-#include "accel/accelerator.h"
-#include "app/mpc_workload.h"
 #include "app/scheduler.h"
 #include "app/thread_pool.h"
-#include "model/builders.h"
 
 namespace {
 
 using namespace dadu::app;
-using dadu::accel::Accelerator;
-using dadu::model::makeQuadrupedArm;
 
 TEST(ThreadPool, RunsAllTasks)
 {
@@ -133,67 +128,6 @@ TEST(Scheduler, CpuRoundsUpToThreadGranularity)
 {
     EXPECT_DOUBLE_EQ(scheduleCpuUs(5, 1, 10.0, 4), 20.0);
     EXPECT_DOUBLE_EQ(scheduleCpuUs(4, 1, 10.0, 4), 10.0);
-}
-
-TEST(MpcBreakdown, DerivativeShareIsZeroOnEmptyBreakdown)
-{
-    // A default (all-zero) breakdown must not divide by zero.
-    const MpcBreakdown empty;
-    EXPECT_EQ(empty.derivativeShare(), 0.0);
-}
-
-TEST(MpcWorkload, BreakdownDominatedByDynamics)
-{
-    // Fig. 2c: the LQ approximation (dynamics derivatives) is the
-    // largest share of the iteration.
-    const auto robot = makeQuadrupedArm();
-    MpcConfig cfg;
-    cfg.horizon_points = 10; // keep the test fast
-    MpcWorkload workload(robot, cfg);
-    const MpcBreakdown b = workload.measureCpu();
-    EXPECT_GT(b.lq_us, 0.0);
-    EXPECT_GT(b.rollout_us, 0.0);
-    EXPECT_GT(b.solver_us, 0.0);
-    EXPECT_GT(b.derivativeShare(), 0.3);
-}
-
-TEST(MpcWorkload, MoreThreadsReduceIterationTime)
-{
-    const auto robot = makeQuadrupedArm();
-    MpcConfig cfg;
-    cfg.horizon_points = 8;
-    MpcWorkload workload(robot, cfg);
-    // One measurement, two thread counts: comparing separate
-    // wall-clock measurements is load-sensitive (parallel ctest on a
-    // small container), while the scaling model is deterministic.
-    const MpcBreakdown b = workload.measureCpu();
-    const double t1 = MpcWorkload::cpuIterationUsFrom(b, 1);
-    const double t4 = MpcWorkload::cpuIterationUsFrom(b, 4);
-    EXPECT_LT(t4, t1);
-}
-
-TEST(MpcWorkload, AcceleratorBeatsFourThreadCpu)
-{
-    // Section VI-B: the accelerated tasks speed up ~11x and the
-    // control frequency rises vs a 4-thread CPU. The accelerated
-    // dynamics phases are real simulated batches (deterministic);
-    // the measured CPU phases are shared between both sides so
-    // wall-clock jitter under parallel test load cannot flip the
-    // comparison.
-    const auto robot = makeQuadrupedArm();
-    MpcConfig cfg;
-    cfg.horizon_points = 16;
-    MpcWorkload workload(robot, cfg);
-    Accelerator accel(robot);
-    dadu::runtime::AcceleratorBackend backend(accel);
-
-    const MpcBreakdown cpu = workload.measureCpu();
-    const MpcBreakdown sim = workload.backendBreakdown(backend);
-    const double cpu4 = MpcWorkload::cpuIterationUsFrom(cpu, 4);
-    const double accelerated = MpcWorkload::iterationUsFrom(
-        MpcBreakdown{sim.lq_us, sim.rollout_us, cpu.solver_us},
-        /*offloaded=*/true);
-    EXPECT_LT(accelerated, cpu4);
 }
 
 } // namespace

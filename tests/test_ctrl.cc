@@ -15,7 +15,11 @@
  *    Ldlt Riccati paths;
  *  - receding-horizon MpcSession: closed-loop tracking on iiwa,
  *    bounded behavior on the floating-base HyQ, deadline accounting
- *    of the multi-client closed-loop serving scenario.
+ *    of the multi-client closed-loop serving scenario;
+ *  - the end-to-end claims on the real closed loop: serving makespan
+ *    shrinks with accelerator shards, and the simulated accelerator's
+ *    modeled dynamics time is far below the CPU backend's measured
+ *    one (Section VI-B).
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +30,7 @@
 #include <new>
 #include <random>
 
-#include "app/mpc_workload.h"
+#include "app/closed_loop.h"
 #include "ctrl/ilqr.h"
 #include "ctrl/mpc_session.h"
 #include "ctrl/scenarios.h"
@@ -263,9 +267,9 @@ TEST(Ilqr, SolveLoopIsAllocationFreeInSteadyState)
 TEST(MpcSession, ClosedLoopReachesTargetOnIiwa)
 {
     const RobotModel robot = model::makeIiwa();
-    app::MpcWorkload workload(robot);
     runtime::CpuBatchedBackend backend(robot, 2);
-    const app::ClosedLoopReport r = workload.solveClosedLoop(backend, 50);
+    runtime::DynamicsServer server(backend);
+    const app::ClosedLoopReport r = app::solveClosedLoop(robot, server, 50);
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.ticks, 50u);
     EXPECT_GT(r.jobs, 50u); // linearize + rollout traffic per tick
@@ -279,9 +283,9 @@ TEST(MpcSession, ClosedLoopStaysBoundedOnFloatingBase)
     // MPC but must stay bounded — free fall would blow past the
     // reference by ~g·t²/2 (≈ 1.8 rad-equivalents over this run).
     const RobotModel robot = model::makeHyq();
-    app::MpcWorkload workload(robot);
     runtime::CpuBatchedBackend backend(robot, 2);
-    const app::ClosedLoopReport r = workload.solveClosedLoop(backend, 60);
+    runtime::DynamicsServer server(backend);
+    const app::ClosedLoopReport r = app::solveClosedLoop(robot, server, 60);
     EXPECT_TRUE(r.converged);
     EXPECT_LT(r.tracking_err, 1.0);
 }
@@ -289,13 +293,14 @@ TEST(MpcSession, ClosedLoopStaysBoundedOnFloatingBase)
 TEST(MpcSession, ClosedLoopIdenticalAcrossBackends)
 {
     const RobotModel robot = model::makeIiwa();
-    app::MpcWorkload workload(robot);
     accel::Accelerator accel(robot);
     runtime::CpuBatchedBackend cpu(robot, 2);
     runtime::AnalyticBackend analytic(accel);
-    const app::ClosedLoopReport a = workload.solveClosedLoop(cpu, 30);
+    runtime::DynamicsServer cpu_server(cpu), analytic_server(analytic);
+    const app::ClosedLoopReport a =
+        app::solveClosedLoop(robot, cpu_server, 30);
     const app::ClosedLoopReport b =
-        workload.solveClosedLoop(analytic, 30);
+        app::solveClosedLoop(robot, analytic_server, 30);
     // The whole closed loop (solver + plant) is deterministic and
     // backend-independent in its numerics.
     EXPECT_EQ(a.tracking_err, b.tracking_err);
@@ -329,7 +334,6 @@ TEST(MpcSession, PeriodicReferenceShiftRotates)
 TEST(MpcSession, ServeClosedLoopClientsAccountsEveryTaggedJob)
 {
     const RobotModel robot = model::makeIiwa();
-    app::MpcWorkload workload(robot);
     runtime::CpuBatchedBackend lane0(robot, 2);
     auto lane1 = lane0.clone();
     runtime::DynamicsServer server(lane0);
@@ -342,7 +346,7 @@ TEST(MpcSession, ServeClosedLoopClientsAccountsEveryTaggedJob)
 
     const int clients = 3, ticks = 10;
     const app::ClosedLoopReport r =
-        workload.serveClosedLoopClients(server, clients, ticks, 4.0);
+        app::serveClosedLoopClients(robot, server, clients, ticks, 4.0);
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.ticks, static_cast<std::size_t>(clients * ticks));
     EXPECT_GT(r.jobs, static_cast<std::size_t>(clients * ticks));
@@ -357,14 +361,67 @@ TEST(MpcSession, ServeClosedLoopClientsAccountsEveryTaggedJob)
 TEST(MpcSession, UntaggedServingReportsNoDeadlines)
 {
     const RobotModel robot = model::makeIiwa();
-    app::MpcWorkload workload(robot);
     runtime::CpuBatchedBackend lane0(robot, 2);
     runtime::DynamicsServer server(lane0);
     const app::ClosedLoopReport r =
-        workload.serveClosedLoopClients(server, 2, 5, 0.0);
+        app::serveClosedLoopClients(robot, server, 2, 5, 0.0);
     EXPECT_EQ(r.deadline_met + r.deadline_misses, 0u);
     EXPECT_EQ(r.deadlineHitRate(), 1.0);
     EXPECT_EQ(r.ticks, 10u);
+}
+
+TEST(MpcSession, ServingMakespanShrinksWithAcceleratorShards)
+{
+    // Four closed-loop clients on one vs two analytic accelerator
+    // shards: the same traffic spreads over twice the lanes, so the
+    // busiest lane's modeled busy time falls by nearly half.
+    const RobotModel robot = model::makeQuadrupedArm();
+    accel::Accelerator accel(robot);
+    runtime::AnalyticBackend base(accel);
+    double makespan[2] = {0.0, 0.0};
+    for (int s = 0; s < 2; ++s) {
+        auto shard = base.clone();
+        runtime::DynamicsServer server(base);
+        if (s == 1)
+            server.addBackend(*shard);
+        const app::ClosedLoopReport r =
+            app::serveClosedLoopClients(robot, server, 4, 10);
+        EXPECT_TRUE(r.converged);
+        EXPECT_EQ(r.ticks, 40u);
+        makespan[s] = r.makespan_us;
+    }
+    ASSERT_GT(makespan[1], 0.0);
+    EXPECT_GT(makespan[0] / makespan[1], 1.5);
+}
+
+TEST(MpcSession, SimulatedAcceleratorDynamicsBeatCpuBackend)
+{
+    // Section VI-B on the real closed loop: the dynamics time of a
+    // tick stream, read from the server's Service histograms, is
+    // measured on the CPU backend and modeled on the cycle-accurate
+    // simulator. The accelerator must take well under half of it.
+    const RobotModel robot = model::makeQuadrupedArm();
+    accel::Accelerator accel(robot);
+    runtime::CpuBatchedBackend cpu(robot, 4);
+    runtime::AcceleratorBackend sim(accel);
+    runtime::sched::SchedConfig cfg;
+    cfg.obs.metrics = true;
+    double service_us[2] = {0.0, 0.0};
+    runtime::DynamicsBackend *backends[] = {&cpu, &sim};
+    for (int b = 0; b < 2; ++b) {
+        runtime::DynamicsServer server(*backends[b]);
+        server.setPolicy(cfg);
+        const app::ClosedLoopReport r =
+            app::solveClosedLoop(robot, server, 20);
+        EXPECT_EQ(r.ticks, 20u);
+        ASSERT_NE(server.metricsRegistry(), nullptr);
+        service_us[b] = server.metricsRegistry()
+                            ->mergedHistogram(false,
+                                              runtime::obs::LatKind::Service)
+                            .sumUs();
+    }
+    ASSERT_GT(service_us[1], 0.0);
+    EXPECT_LT(service_us[1], 0.5 * service_us[0]);
 }
 
 } // namespace

@@ -154,13 +154,4 @@ TEST(Timing, HostLatencyIsPositiveAndOrdered)
     EXPECT_GT(dfd, id); // derivatives cost more than plain ID
 }
 
-TEST(Timing, ThreadScalingSaturates)
-{
-    // Fig. 2b: speedup grows sublinearly and flattens.
-    EXPECT_NEAR(threadScaling(1), 1.0, 1e-12);
-    EXPECT_GT(threadScaling(4), 2.5);
-    EXPECT_LT(threadScaling(12), 8.0);
-    EXPECT_LT(threadScaling(12) - threadScaling(10), 1.0);
-}
-
 } // namespace

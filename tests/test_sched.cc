@@ -16,8 +16,7 @@
  *  - starvation/fairness property: with a saturating bulk client
  *    under EDF, every deadline-tagged job completes and lands in
  *    exactly one of SchedStats::deadline_met / deadline_misses — no
- *    job is dropped or parked;
- *  - deadline-tagged serveMultiClient accounts every tagged job.
+ *    job is dropped or parked.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "app/mpc_workload.h"
 #include "app/scheduler.h"
 #include "model/builders.h"
 #include "perf/timing.h"
@@ -638,37 +636,6 @@ TEST(SchedQos, EveryTaggedJobCompletesOrIsReportedMissed)
     EXPECT_EQ(sstats.deadline_misses, missed);
     EXPECT_EQ(sstats.deadline_met, met);
     EXPECT_EQ(stats.jobs, static_cast<std::size_t>(kBulkJobs + kTagged));
-}
-
-// ---------------------------------------------------------------------
-// Deadline-tagged multi-client workload
-// ---------------------------------------------------------------------
-
-TEST(SchedQos, ServeMultiClientTagsAndAccountsDeadlines)
-{
-    const auto robot = model::makeQuadrupedArm();
-    app::MpcConfig cfg;
-    cfg.horizon_points = 12;
-    app::MpcWorkload workload(robot, cfg);
-    accel::Accelerator accel(robot);
-    runtime::AnalyticBackend base(accel);
-    auto lane1 = base.clone();
-    runtime::DynamicsServer server(base);
-    server.addBackend(*lane1);
-    SchedConfig qos;
-    qos.kind = PolicyKind::Edf;
-    qos.coalesce = true;
-    qos.steal = true;
-    server.setPolicy(qos);
-
-    constexpr int kClients = 3, kRounds = 3;
-    const app::MultiClientReport r = workload.serveMultiClient(
-        server, kClients, kRounds, /*deadline_slack=*/50.0);
-    EXPECT_EQ(r.jobs, static_cast<std::size_t>(kClients * kRounds * 2));
-    // First round per client runs untagged (no calibration yet); the
-    // remaining rounds tag both jobs, and all of them are accounted.
-    EXPECT_EQ(r.deadline_met + r.deadline_misses,
-              static_cast<std::size_t>(kClients * (kRounds - 1) * 2));
 }
 
 // ---------------------------------------------------------------------

@@ -13,7 +13,8 @@ Checks, per compared file:
      committed keys (a bench that silently dropped or renamed a
      headline metric fails here, reminding the author to regenerate
      the committed file);
-  2. spec'd headline keys — each (key, mode, bound) row below:
+  2. spec'd headline keys — each (key, mode, bound) row below (a key
+     with a '*' is a glob over the committed keys):
        exact     fresh == committed (bit-identical print)
        rel R     |fresh - committed| <= R * |committed|
        max B     fresh <= B  (absolute ceiling, e.g. overhead ratios)
@@ -26,6 +27,7 @@ Exit status 0 = all in band, 1 = any violation (listed on stdout).
 """
 
 import argparse
+import fnmatch
 import json
 import os
 import re
@@ -69,6 +71,15 @@ SPEC = {
         # Every robot x scenario solve must converge, always.
         ("*_converged", "min", 1.0),
         ("serve_deadline_hit_rate", "min", 0.50),
+        # The closed loop is deterministic and backend-independent in
+        # its numerics: any change here is a change in what the
+        # controller computes.
+        ("closed_loop_*_tracking_err", "exact", None),
+    ],
+    "BENCH_e2e.json": [
+        ("schema_version", "exact", None),
+        # Modeled accelerator time of a deterministic tick stream.
+        ("accel_dynamics_us_per_tick_model", "exact", None),
     ],
 }
 
@@ -100,8 +111,8 @@ def check_file(name, fresh_dir, committed_dir, failures):
 
     checked = 0
     for key, mode, bound in SPEC.get(name, []):
-        if key.startswith("*"):
-            keys = [k for k in committed if k.endswith(key[1:])]
+        if "*" in key:
+            keys = [k for k in committed if fnmatch.fnmatchcase(k, key)]
         else:
             keys = [key] if key in committed else []
         if not keys:
