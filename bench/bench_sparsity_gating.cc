@@ -4,9 +4,9 @@
  *
  * Three parts:
  *
- *  1. Measured single-core derivative refresh — none/simple/adaptive
- *     gating at seed densities 12.5/25/50 % on the evaluation robots
- *     (iiwa, HyQ, Atlas), in two pipelines:
+ *  1. Measured single-core derivative refresh — dense vs gated at
+ *     seed densities 12.5/25/50 % on the evaluation robots (iiwa,
+ *     HyQ, Atlas), in two pipelines:
  *
  *     dfd_*  — one-shot ∆FD: the gated sweeps skip dead columns of
  *              the derivative steps ④⑤⑥ while q̈ and M⁻¹ (steps
@@ -27,12 +27,16 @@
  *     fixed; sparsity buys cycles, not area).
  *
  *  3. Closed-loop MPC — receding-horizon ticks/s of the real
- *     iLQR+plant loop with gating off vs on (adaptive, drift
- *     tolerance 3e-3, dense refresh every 4): the solver requests
+ *     iLQR+plant loop with gating off vs on (drift tolerance 3e-3,
+ *     dense refresh every 4): the solver requests
  *     only the Jacobian columns whose coordinates moved since their
  *     last linearization, skipping the batch outright when nothing
  *     moved. Tracking error is reported for both so the speedup is
  *     only claimed when control quality holds.
+ *
+ * An `Adaptive` mode that also computed dead columns in gaps of ≤ 2
+ * between live ones was measured here and dropped: it was never
+ * faster than the exact seed where the two plans differed.
  */
 
 #include "bench_util.h"
@@ -68,11 +72,11 @@ spacedSeed(int nv, double density)
     return seed;
 }
 
-/** One gated configuration of the single-core refresh sweep. */
+/** One configuration of the single-core refresh sweep. */
 struct GateConfig
 {
     std::string label;
-    algo::GatingMode mode = algo::GatingMode::None;
+    bool gated = false;
     double density = 1.0;
     bool given_accel = false; ///< ∆iFD refresh pipeline (banked q̈/M⁻¹)
     algo::ColumnPlan plan;    ///< resolved; dense for the baselines
@@ -82,8 +86,7 @@ void
 gatedCpuSection(JsonReport &report)
 {
     banner("measured single-core derivative refresh — pipeline x "
-           "gating mode x seed density (µs/point, speedup vs dense "
-           "∆FD)");
+           "seed density (µs/point, speedup vs dense ∆FD)");
     const int points = 96;
     const int rounds = 7;
     const std::vector<double> densities = {0.125, 0.25, 0.5};
@@ -127,26 +130,20 @@ gatedCpuSection(JsonReport &report)
                 c.given_accel = true;
                 configs.push_back(std::move(c));
             }
-            for (algo::GatingMode mode :
-                 {algo::GatingMode::Simple, algo::GatingMode::Adaptive}) {
-                for (double density : densities) {
-                    GateConfig c;
-                    c.mode = mode;
-                    c.density = density;
-                    c.given_accel = given_accel;
-                    c.label = std::string(algo::gatingModeName(mode)) +
-                              "_d" +
-                              std::to_string(static_cast<int>(
-                                  std::lround(density * 100)));
-                    c.plan.resolve(mode, spacedSeed(nv, density), nv);
-                    configs.push_back(std::move(c));
-                }
+            for (double density : densities) {
+                GateConfig c;
+                c.gated = true;
+                c.density = density;
+                c.given_accel = given_accel;
+                c.label = "gated_d" + std::to_string(static_cast<int>(
+                                          std::lround(density * 100)));
+                c.plan.resolve(spacedSeed(nv, density), nv);
+                configs.push_back(std::move(c));
             }
         }
 
         const auto sweep = [&](const GateConfig &c) {
-            const algo::ColumnPlan *plan =
-                c.mode == algo::GatingMode::None ? nullptr : &c.plan;
+            const algo::ColumnPlan *plan = c.gated ? &c.plan : nullptr;
             const auto &out =
                 c.given_accel
                     ? engine.batchFdDerivativesGivenAccel(
@@ -219,10 +216,8 @@ accelSection(JsonReport &report)
                        res.data(), &stats);
         const double dense_us = stats.total_us;
 
-        for (auto &r : reqs) {
-            r.gating = algo::GatingMode::Simple;
+        for (auto &r : reqs)
             r.seed_cols = spacedSeed(robot.nv(), 0.25);
-        }
         backend.submit(runtime::FunctionType::DeltaFD, reqs.data(), n,
                        res.data(), &stats);
         const double gated_us = stats.total_us;
@@ -242,7 +237,7 @@ void
 mpcSection(JsonReport &report)
 {
     banner("closed-loop MPC — ticks/s with gating off vs on "
-           "(adaptive, drift tol 3e-3, dense refresh every 4)");
+           "(drift tol 3e-3, dense refresh every 4)");
     // Tick counts sized per robot so each run spans its interesting
     // regime (iiwa settles onto the target — the skip-heavy phase;
     // the bigger robots stay mid-reach) at comparable wall time.
@@ -258,7 +253,7 @@ mpcSection(JsonReport &report)
         runtime::CpuBatchedBackend cpu(robot, 4);
 
         ctrl::IlqrOptions gated;
-        gated.gating = algo::GatingMode::Adaptive;
+        gated.gating = true;
         gated.gating_tol = 3e-3;
         gated.dense_refresh_every = 4;
 
@@ -309,6 +304,7 @@ main(int argc, char **argv)
     banner("sparsity gating — compute only the Jacobian columns "
            "that moved");
     JsonReport report;
+    report.schema_version = 3.0; // *_simple_d* keys became *_gated_d*
 
     gatedCpuSection(report);
     accelSection(report);

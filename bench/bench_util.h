@@ -129,6 +129,13 @@ flagInt(int argc, char **argv, const char *flag, int fallback)
 class JsonReport
 {
   public:
+    /**
+     * Version of this report's key set, stamped as "schema_version".
+     * Bump it in the writing bench when keys are renamed or the
+     * format changes.
+     */
+    double schema_version = 2.0;
+
     void add(const std::string &key, double value)
     {
         entries_.emplace_back(key, value);
@@ -200,12 +207,6 @@ class JsonReport
 };
 
 /**
- * Version of the flat {"key": number} BENCH_*.json schema. Bump when
- * the report format itself (not the metric set) changes.
- */
-inline constexpr double kBenchJsonSchemaVersion = 2.0;
-
-/**
  * The shared --json epilogue of every bench binary: when the flag is
  * present, write @p report to @p path and report the outcome. A
  * single-writer file is overwritten (dropped keys disappear); pass
@@ -225,7 +226,7 @@ maybeWriteJson(int argc, char **argv, const JsonReport &report,
     if (!hasFlag(argc, argv, "--json"))
         return false;
     JsonReport stamped = report;
-    stamped.add("schema_version", kBenchJsonSchemaVersion);
+    stamped.add("schema_version", report.schema_version);
     if (argc > 0 && argv[0]) {
         const char *base = argv[0];
         for (const char *p = argv[0]; *p; ++p) {

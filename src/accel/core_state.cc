@@ -104,8 +104,8 @@ FunctionalCore::initTask(TaskState &st, const TaskInput &in) const
     st.ucache.assign(nb, {});
     st.dinvcache.assign(nb, MatrixX());
     // Invalid seeds are rejected at backend submit; resolve() leaves
-    // the plan dense for non-gated (or malformed) requests.
-    st.plan.resolve(in.gating, in.seed_cols, nv);
+    // the plan dense for an empty (or malformed) seed.
+    st.plan.resolve(in.seed_cols, nv);
     st.active = true;
 }
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "accel/function.h"
+#include "algorithms/col_gating.h"
 #include "linalg/mat.h"
 #include "model/robot_model.h"
 #include "spatial/transform.h"

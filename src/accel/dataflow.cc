@@ -3,6 +3,7 @@
 #include <cassert>
 #include <deque>
 
+#include "runtime/mask.h"
 #include "sim/kernel.h"
 
 namespace dadu::accel {
@@ -411,9 +412,7 @@ AccelSim::run(FunctionType fn, const TaskInput *inputs, std::size_t count,
 
     // Submodules.
     std::vector<std::unique_ptr<sim::Module>> owned;
-    const bool use_delta = fn == FunctionType::DeltaID ||
-                           fn == FunctionType::DeltaFD ||
-                           fn == FunctionType::DeltaiFD;
+    const bool use_delta = runtime::gatesColumns(fn);
     const bool use_fb = fn != FunctionType::M && fn != FunctionType::Minv;
     const bool use_bf = fn == FunctionType::M ||
                         fn == FunctionType::Minv ||
@@ -422,38 +421,11 @@ AccelSim::run(FunctionType fn, const TaskInput *inputs, std::size_t count,
     const bool zero_qdd = fn == FunctionType::FD ||
                           fn == FunctionType::DeltaFD;
 
-    // Timing model for the ∆ submodules: when every request in the
-    // batch is gated, size the Df/Db token streams for the UNION of
-    // the batch's live columns (heterogeneous masks price at their
-    // union; one dense request prices the whole batch dense).
+    // Timing model for the ∆ submodules: size the Df/Db token
+    // streams for the union of the batch's live columns.
     algo::ColumnPlan timing_plan;
-    const algo::ColumnPlan *tplan = nullptr;
-    if (use_delta && n > 0) {
-        const int nv = robot.nv();
-        std::vector<char> live(static_cast<std::size_t>(nv), 0);
-        bool all_gated = true;
-        algo::ColumnPlan tmp;
-        for (int t = 0; t < n && all_gated; ++t) {
-            const TaskInput &in = inputs[t];
-            if (in.gating == algo::GatingMode::None ||
-                in.seed_cols.empty() ||
-                !tmp.resolve(in.gating, in.seed_cols, nv) || tmp.dense()) {
-                all_gated = false;
-                break;
-            }
-            for (int c : tmp.cols())
-                live[c] = 1;
-        }
-        if (all_gated) {
-            std::vector<int> seed;
-            for (int c = 0; c < nv; ++c)
-                if (live[c])
-                    seed.push_back(c);
-            if (timing_plan.resolve(algo::GatingMode::Simple, seed, nv) &&
-                !timing_plan.dense())
-                tplan = &timing_plan;
-        }
-    }
+    const algo::ColumnPlan *tplan =
+        runtime::unionPlan(fn, inputs, count, robot.nv(), timing_plan);
 
     auto timing = [&](int link, SubmoduleKind kind) {
         const OpCount dense_ops = submoduleOps(robot, link, kind);

@@ -4,20 +4,6 @@
 
 namespace dadu::algo {
 
-const char *
-gatingModeName(GatingMode mode)
-{
-    switch (mode) {
-    case GatingMode::None:
-        return "none";
-    case GatingMode::Simple:
-        return "simple";
-    case GatingMode::Adaptive:
-        return "adaptive";
-    }
-    return "?";
-}
-
 bool
 seedValid(const std::vector<int> &seed, int nv)
 {
@@ -32,48 +18,24 @@ seedValid(const std::vector<int> &seed, int nv)
 }
 
 int
-gatedLiveCount(GatingMode mode, const std::vector<int> &seed, int nv)
+gatedLiveCount(const std::vector<int> &seed, int nv)
 {
-    if (mode == GatingMode::None || seed.empty())
+    if (seed.empty())
         return nv;
-    int live = static_cast<int>(seed.size());
-    if (mode == GatingMode::Adaptive) {
-        // A dead column is filled iff the nearest live columns below
-        // and above it are ≤ kAdaptiveMaxGap + 1 apart. O(nv·k),
-        // allocation-free — mirrors ColumnPlan::resolve exactly.
-        for (int c = 0; c < nv; ++c) {
-            int below = -1, above = nv;
-            bool is_seed = false;
-            for (int s : seed) {
-                if (s == c) {
-                    is_seed = true;
-                    break;
-                }
-                if (s < c)
-                    below = std::max(below, s);
-                else
-                    above = std::min(above, s);
-            }
-            if (!is_seed && below >= 0 && above < nv &&
-                above - below - 1 <= kAdaptiveMaxGap)
-                ++live;
-        }
-    }
-    return std::min(live, nv);
+    return std::min(static_cast<int>(seed.size()), nv);
 }
 
 bool
-ColumnPlan::resolve(GatingMode mode, const std::vector<int> &seed, int nv)
+ColumnPlan::resolve(const std::vector<int> &seed, int nv)
 {
     nv_ = nv;
-    runs_ = 1;
     dense_ = true;
     cols_.clear();
     if (static_cast<int>(live_.size()) < nv)
         live_.resize(static_cast<std::size_t>(nv));
     std::fill(live_.begin(), live_.begin() + nv, 0);
 
-    if (mode == GatingMode::None || seed.empty())
+    if (seed.empty())
         return true;
 
     for (int c : seed) {
@@ -88,36 +50,13 @@ ColumnPlan::resolve(GatingMode mode, const std::vector<int> &seed, int nv)
         live_[static_cast<std::size_t>(c)] = 1;
     }
 
-    if (mode == GatingMode::Adaptive) {
-        // Fill gaps ≤ kAdaptiveMaxGap between consecutive live
-        // columns so nearby columns coalesce into one run.
-        int prev = -1;
-        for (int c = 0; c < nv; ++c) {
-            if (!live_[static_cast<std::size_t>(c)])
-                continue;
-            if (prev >= 0 && c - prev - 1 <= kAdaptiveMaxGap)
-                for (int f = prev + 1; f < c; ++f)
-                    live_[static_cast<std::size_t>(f)] = 1;
-            prev = c;
-        }
-    }
-
-    int live_count = 0;
-    for (int c = 0; c < nv; ++c)
-        if (live_[static_cast<std::size_t>(c)])
-            ++live_count;
-    if (live_count == nv) // full coverage: dense after all
+    if (static_cast<int>(seed.size()) == nv) // full coverage: dense
         return true;
 
     dense_ = false;
-    runs_ = 0;
-    for (int c = 0; c < nv; ++c) {
-        if (!live_[static_cast<std::size_t>(c)])
-            continue;
-        if (cols_.empty() || cols_.back() != c - 1)
-            ++runs_;
-        cols_.push_back(c);
-    }
+    for (int c = 0; c < nv; ++c)
+        if (live_[static_cast<std::size_t>(c)])
+            cols_.push_back(c);
     return true;
 }
 

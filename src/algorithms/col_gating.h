@@ -5,21 +5,11 @@
  * ∆FD/∆ID/∆iFD Jacobian columns are arithmetically independent (each
  * tangent-space column has its own fused ∆RNEA chain), so a client
  * that knows which coordinates moved since its last linearization can
- * request only those columns. A `ColumnPlan` is the resolved form of
- * a request's (mode, seed set): the sorted live-column list every
- * gated sweep iterates, plus the liveness bitmap the per-column loops
- * test.
- *
- * Three modes, mirroring lat-dynamic's dynamic channel pruning:
- *  - `None`:     dense — every column computed (today's behavior).
- *  - `Simple`:   exactly the seed set.
- *  - `Adaptive`: the seed set with small gaps (≤ kAdaptiveMaxGap)
- *                between live columns filled in, coalescing nearby
- *                columns into contiguous runs that preserve the
- *                per-column fused-chain locality of the SoA sweeps.
- *                Filler columns are computed with their true values,
- *                so every column the plan marks live is bitwise equal
- *                to the dense result.
+ * request only those columns. The seed set is the whole mask: an
+ * empty seed means dense, a non-empty seed means exactly those
+ * columns. A `ColumnPlan` is its resolved form: the sorted
+ * live-column list every gated sweep iterates, plus the liveness
+ * bitmap the per-column loops test.
  *
  * Contract: live columns of a gated sweep are bitwise identical to
  * the dense sweep (scalar and SoA); dead columns are exactly 0.0.
@@ -28,27 +18,9 @@
 #ifndef DADU_ALGORITHMS_COL_GATING_H
 #define DADU_ALGORITHMS_COL_GATING_H
 
-#include <cstdint>
 #include <vector>
 
 namespace dadu::algo {
-
-/** Gating policy carried by a DynamicsRequest. */
-enum class GatingMode : std::uint8_t
-{
-    None,     ///< dense: seed set ignored, all columns computed
-    Simple,   ///< exactly the seed columns
-    Adaptive, ///< seed columns, gaps ≤ kAdaptiveMaxGap coalesced
-};
-
-/** Human-readable mode name (bench/report labels). */
-const char *gatingModeName(GatingMode mode);
-
-/**
- * Largest run gap the adaptive coalescer fills: two live columns
- * separated by at most this many dead ones are merged into one run.
- */
-inline constexpr int kAdaptiveMaxGap = 2;
 
 /**
  * Submit-time seed-set validation: every index in [0, nv), no
@@ -61,9 +33,9 @@ bool seedValid(const std::vector<int> &seed, int nv);
 /**
  * Live-column count of the resolved plan without building one —
  * what the scheduler/admission layers price. Allocation-free.
- * Assumes a valid seed; `None` or an empty seed prices dense (nv).
+ * Assumes a valid seed; an empty seed prices dense (nv).
  */
-int gatedLiveCount(GatingMode mode, const std::vector<int> &seed, int nv);
+int gatedLiveCount(const std::vector<int> &seed, int nv);
 
 /**
  * Resolved column plan: the liveness bitmap and sorted live-column
@@ -74,13 +46,12 @@ class ColumnPlan
 {
   public:
     /**
-     * Resolve (mode, seed) against a tangent dimension. Returns
-     * false (and leaves the plan dense) on an invalid seed:
-     * out-of-range or duplicate indices. The seed need not be
-     * sorted; an empty seed or mode None resolves dense. A seed
-     * covering every column also resolves dense.
+     * Resolve a seed set against a tangent dimension. Returns false
+     * (and leaves the plan dense) on an invalid seed: out-of-range
+     * or duplicate indices. The seed need not be sorted; an empty
+     * seed, or one covering every column, resolves dense.
      */
-    bool resolve(GatingMode mode, const std::vector<int> &seed, int nv);
+    bool resolve(const std::vector<int> &seed, int nv);
 
     /** True when every column is live (no gating). */
     bool dense() const { return dense_; }
@@ -93,9 +64,6 @@ class ColumnPlan
     {
         return dense_ ? nv_ : static_cast<int>(cols_.size());
     }
-
-    /** Number of contiguous live runs (1 when dense). */
-    int runCount() const { return runs_; }
 
     /**
      * Sorted live columns. Only meaningful when !dense(); gated
@@ -111,7 +79,6 @@ class ColumnPlan
 
   private:
     int nv_ = 0;
-    int runs_ = 1;
     bool dense_ = true;
     std::vector<int> cols_;          ///< sorted live columns
     std::vector<unsigned char> live_; ///< per-column liveness bytes

@@ -114,7 +114,7 @@ IlqrSolver::IlqrSolver(const RobotModel &robot, OcpProblem problem,
     dqd_.resize(nv_);
     eq_.resize(nv_);
 
-    if (opts_.gating != algo::GatingMode::None) {
+    if (opts_.gating) {
         fq_cache_.assign(N, MatrixX(nv_, nv_));
         fqd_cache_.assign(N, MatrixX(nv_, nv_));
         minv_cache_.assign(N, MatrixX(nv_, nv_));
@@ -265,7 +265,7 @@ void
 IlqrSolver::linearize(DynamicsChannel &channel)
 {
     const int N = prob_.knots;
-    const bool gate = opts_.gating != algo::GatingMode::None;
+    const bool gate = opts_.gating;
     // A gated sweep needs valid caches to fill the dead columns from;
     // the periodic dense refresh bounds how stale any column can get.
     bool dense = !gate || !cache_valid_ ||
@@ -334,8 +334,6 @@ IlqrSolver::linearize(DynamicsChannel &channel)
         if (gate) {
             // ONE shared seed across the horizon keeps the batch
             // mask-uniform (SoA fast path, coalescer-mergeable).
-            lin_req_[k].gating =
-                dense ? algo::GatingMode::None : opts_.gating;
             if (dense)
                 lin_req_[k].seed_cols.clear();
             else
@@ -346,11 +344,7 @@ IlqrSolver::linearize(DynamicsChannel &channel)
                 lin_res_.data());
     if (gate) {
         // Merge into the caches the backward pass reads, and reset
-        // the drift of every column that was just recomputed. The
-        // resolved plan may widen the seed (Adaptive gap filling);
-        // merging by the REQUESTED seed only is still correct — any
-        // extra live column holds its exact value but keeps
-        // accumulating drift, which is conservative.
+        // the drift of every column that was just recomputed.
         if (dense) {
             // Swap (not copy) the fresh linearization into the
             // caches: lin_res_ is overwritten by the next batch
@@ -413,7 +407,7 @@ IlqrSolver::backwardPass()
     d2_ = 0.0;
     grad_norm_ = 0.0;
 
-    const bool gate = opts_.gating != algo::GatingMode::None;
+    const bool gate = opts_.gating;
 
     for (int k = N - 1; k >= 0; --k) {
         // Under gating the caches hold the merged Jacobians (live

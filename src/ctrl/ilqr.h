@@ -257,7 +257,7 @@ class IlqrSolver
     runtime::DynamicsRequest ro_req_;
     runtime::DynamicsResult ro_res_;
 
-    // Column-gating state (allocated only when opts_.gating != None).
+    // Column-gating state (allocated only when opts_.gating is set).
     // The caches hold the merged Jacobians the backward pass reads: a
     // gated refresh overwrites the live columns, dead columns keep
     // the values from the linearization they were last computed at.

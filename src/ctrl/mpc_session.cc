@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algorithms/col_gating.h"
 #include "app/scheduler.h"
 #include "perf/timing.h"
 #include "runtime/sched/policy.h"
@@ -51,8 +52,7 @@ MpcSession::ServerChannel::run(FunctionType fn,
     const double fn_weight =
         count > 0 ? runtime::sched::functionWeight(
                         fn,
-                        algo::gatedLiveCount(requests[0].gating,
-                                             requests[0].seed_cols, nv0),
+                        algo::gatedLiveCount(requests[0].seed_cols, nv0),
                         nv0)
                   : runtime::sched::functionWeight(fn);
     const double t0 = perf::nowUs();

@@ -25,7 +25,6 @@
 
 #include <vector>
 
-#include "algorithms/col_gating.h"
 #include "linalg/vec.h"
 #include "linalg/matrixx.h"
 
@@ -85,14 +84,14 @@ struct IlqrOptions
 
     /**
      * Request only the Jacobian columns whose coordinates drifted
-     * since their last linearization (None = dense, today's
+     * since their last linearization (false = dense, today's
      * behavior). Columns left dead reuse the solver's cached values
      * from the linearization they were last computed at — an
      * approximation bounded by gating_tol and repaired by the
      * periodic dense refresh; the line search still guards every
      * accepted step against the true cost.
      */
-    algo::GatingMode gating = algo::GatingMode::None;
+    bool gating = false;
 
     /**
      * A tangent coordinate's column goes live when its accumulated

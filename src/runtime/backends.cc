@@ -6,6 +6,7 @@
 #include "algorithms/dynamics.h"
 #include "algorithms/mminv_gen.h"
 #include "perf/timing.h"
+#include "runtime/mask.h"
 
 namespace dadu::runtime {
 
@@ -27,41 +28,6 @@ functionName(FunctionType fn)
 namespace {
 
 using perf::nowUs;
-
-/** True for the functions a column mask applies to (∆ outputs). */
-bool
-derivativeFunction(FunctionType fn)
-{
-    return fn == FunctionType::DeltaID || fn == FunctionType::DeltaFD ||
-           fn == FunctionType::DeltaiFD;
-}
-
-/** True when the request actually asks for column gating. */
-bool
-requestGated(const DynamicsRequest &req)
-{
-    return req.gating != algo::GatingMode::None && !req.seed_cols.empty();
-}
-
-/**
- * Deterministic submit-time mask validation, shared by every
- * backend: a derivative request with out-of-range or duplicate seed
- * indices rejects the whole batch before any point executes. Seeds
- * on non-derivative functions are ignored (masks only apply to ∆
- * outputs), as are seeds under GatingMode::None.
- */
-bool
-masksValid(FunctionType fn, const DynamicsRequest *requests,
-           std::size_t count, int nv)
-{
-    if (!derivativeFunction(fn))
-        return true;
-    for (std::size_t i = 0; i < count; ++i)
-        if (requestGated(requests[i]) &&
-            !algo::seedValid(requests[i].seed_cols, nv))
-            return false;
-    return true;
-}
 
 /**
  * Single-point reference execution of one Table I function through
@@ -190,8 +156,7 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
     if (engine_path &&
         (fn == FunctionType::DeltaFD || fn == FunctionType::DeltaiFD)) {
         for (std::size_t i = 1; engine_path && i < count; ++i) {
-            if (requests[i].gating != requests[0].gating ||
-                requests[i].seed_cols != requests[0].seed_cols)
+            if (requests[i].seed_cols != requests[0].seed_cols)
                 engine_path = false;
         }
     }
@@ -206,12 +171,11 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
 
     const double t0 = nowUs();
     if (!engine_path) {
-        const bool deriv = derivativeFunction(fn);
+        const bool deriv = gatesColumns(fn);
         for (std::size_t i = 0; i < count; ++i) {
             const algo::ColumnPlan *plan = nullptr;
-            if (deriv && requestGated(requests[i])) {
-                plan_.resolve(requests[i].gating, requests[i].seed_cols,
-                              robot_.nv());
+            if (deriv && !requests[i].seed_cols.empty()) {
+                plan_.resolve(requests[i].seed_cols, robot_.nv());
                 plan = &plan_;
             }
             referenceExecute(robot_, ws_, fd_tmp_, fn, requests[i],
@@ -243,9 +207,8 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
     }
     const algo::ColumnPlan *plan = nullptr;
     if ((fn == FunctionType::DeltaFD || fn == FunctionType::DeltaiFD) &&
-        count > 0 && requestGated(requests[0])) {
-        plan_.resolve(requests[0].gating, requests[0].seed_cols,
-                      robot_.nv());
+        count > 0 && !requests[0].seed_cols.empty()) {
+        plan_.resolve(requests[0].seed_cols, robot_.nv());
         plan = &plan_;
     }
     runEngine(fn, q_.data(), qd_.data(), tau_.data(), count, results, plan);
@@ -352,15 +315,15 @@ AnalyticBackend::submit(FunctionType fn, const DynamicsRequest *requests,
                         std::size_t count, DynamicsResult *results,
                         BatchStats *stats)
 {
-    if (!masksValid(fn, requests, count, accel_.robot().nv()))
+    const int nv = accel_.robot().nv();
+    if (!masksValid(fn, requests, count, nv))
         return SubmitStatus::InvalidRequest;
 
-    const bool deriv = derivativeFunction(fn);
+    const bool deriv = gatesColumns(fn);
     for (std::size_t i = 0; i < count; ++i) {
         const algo::ColumnPlan *plan = nullptr;
-        if (deriv && requestGated(requests[i])) {
-            plan_.resolve(requests[i].gating, requests[i].seed_cols,
-                          accel_.robot().nv());
+        if (deriv && !requests[i].seed_cols.empty()) {
+            plan_.resolve(requests[i].seed_cols, nv);
             plan = &plan_;
         }
         referenceExecute(accel_.robot(), ws_, fd_tmp_, fn, requests[i],
@@ -369,36 +332,9 @@ AnalyticBackend::submit(FunctionType fn, const DynamicsRequest *requests,
 
     if (stats) {
         *stats = BatchStats{};
-        // Price a uniformly gated batch for the union of its live
-        // columns (one dense request prices the whole batch dense).
-        algo::ColumnPlan union_plan;
-        const algo::ColumnPlan *pricing = nullptr;
-        const int nv = accel_.robot().nv();
-        if (deriv && count > 0) {
-            std::vector<char> live(static_cast<std::size_t>(nv), 0);
-            bool all_gated = true;
-            for (std::size_t i = 0; i < count && all_gated; ++i) {
-                if (!requestGated(requests[i]) ||
-                    !plan_.resolve(requests[i].gating,
-                                   requests[i].seed_cols, nv) ||
-                    plan_.dense()) {
-                    all_gated = false;
-                    break;
-                }
-                for (int c : plan_.cols())
-                    live[c] = 1;
-            }
-            if (all_gated) {
-                std::vector<int> seed;
-                for (int c = 0; c < nv; ++c)
-                    if (live[c])
-                        seed.push_back(c);
-                if (union_plan.resolve(algo::GatingMode::Simple, seed,
-                                       nv) &&
-                    !union_plan.dense())
-                    pricing = &union_plan;
-            }
-        }
+        // Priced for the union of the batch's live columns.
+        const algo::ColumnPlan *pricing =
+            unionPlan(fn, requests, count, nv, plan_);
         const accel::TimingEstimate est = accel_.analytic(fn, pricing);
         const double cycles = count * est.ii_cycles + est.latency_cycles;
         const double freq_hz = accel_.config().freq_mhz * 1e6;

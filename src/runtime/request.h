@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "algorithms/col_gating.h"
 #include "linalg/matrixx.h"
 #include "linalg/vec.h"
 
@@ -54,16 +53,15 @@ struct DynamicsRequest
 
     /**
      * Column-sparsity gating (∆ID/∆FD/∆iFD only; other functions
-     * ignore it). `seed_cols` lists the tangent-space columns for
-     * which derivative output is requested; `gating` selects how the
-     * seed resolves (see algo::GatingMode). An empty seed or mode
-     * None means dense. Out-of-range or duplicate seed indices are
-     * rejected at submit with SubmitStatus::InvalidRequest. Columns
-     * the resolved plan leaves dead are exactly 0.0 in the result;
-     * live columns are bitwise identical to the dense path.
+     * ignore it; see runtime/mask.h). `seed_cols` is the mask: empty
+     * means dense, otherwise exactly the tangent-space columns for
+     * which derivative output is requested. Out-of-range or
+     * duplicate seed indices are rejected at submit with
+     * SubmitStatus::InvalidRequest. Dead columns are exactly 0.0 in
+     * the result; live columns are bitwise identical to the dense
+     * path.
      */
     std::vector<int> seed_cols;
-    algo::GatingMode gating = algo::GatingMode::None;
 };
 
 /** Unified task output (the Encode Module payload of the paper). */

@@ -5,7 +5,7 @@
 namespace dadu::runtime::sched {
 
 std::size_t
-absorbSameFnFlat(const QueueView &q, const SchedConfig &cfg, Pick &out)
+absorbSameFnFlat(const QueueView &q, Pick &out)
 {
     if (out.positions.size() != 1)
         return 0;
@@ -14,7 +14,7 @@ absorbSameFnFlat(const QueueView &q, const SchedConfig &cfg, Pick &out)
     // Only small flat batches amortize: a batch already near the
     // pipeline-filling size pays its latency once over many tasks,
     // and merging it would just delay whoever queued behind it.
-    if (!primary.flat || primary.count >= cfg.coalesce_only_below)
+    if (!primary.flat || primary.count >= kCoalesceOnlyBelow)
         return 0;
     std::size_t total = primary.count;
     std::size_t absorbed = 0;
@@ -22,7 +22,7 @@ absorbSameFnFlat(const QueueView &q, const SchedConfig &cfg, Pick &out)
     for (std::size_t pos = 0; pos < depth; ++pos) {
         if (pos == primary_pos)
             continue;
-        if (out.positions.size() >= cfg.coalesce_max_items)
+        if (out.positions.size() >= kCoalesceMaxItems)
             break;
         const ItemView view = q.item(out.lane, pos);
         // mask_sig equality keeps the merged batch mask-uniform:
@@ -31,9 +31,9 @@ absorbSameFnFlat(const QueueView &q, const SchedConfig &cfg, Pick &out)
         // backend's uniform-mask SoA fast path.
         if (!view.flat || view.fn != primary.fn ||
             view.mask_sig != primary.mask_sig ||
-            view.count >= cfg.coalesce_only_below)
+            view.count >= kCoalesceOnlyBelow)
             continue;
-        if (total + view.count > cfg.coalesce_max_tasks)
+        if (total + view.count > kCoalesceMaxTasks)
             continue;
         out.positions.push_back(pos);
         total += view.count;
@@ -49,7 +49,7 @@ CoalescePolicy::pick(const QueueView &q, int lane, Pick &out)
 {
     if (!inner_->pick(q, lane, out))
         return false;
-    absorbSameFnFlat(q, cfg_, out);
+    absorbSameFnFlat(q, out);
     return true;
 }
 

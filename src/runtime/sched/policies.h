@@ -37,8 +37,8 @@ class EdfPolicy : public SchedPolicy
 class CoalescePolicy : public SchedPolicy
 {
   public:
-    CoalescePolicy(std::unique_ptr<SchedPolicy> inner, SchedConfig cfg)
-        : inner_(std::move(inner)), cfg_(cfg)
+    explicit CoalescePolicy(std::unique_ptr<SchedPolicy> inner)
+        : inner_(std::move(inner))
     {}
 
     const char *name() const override { return "coalesce"; }
@@ -47,7 +47,6 @@ class CoalescePolicy : public SchedPolicy
 
   private:
     std::unique_ptr<SchedPolicy> inner_;
-    SchedConfig cfg_;
 };
 
 /**
@@ -60,8 +59,8 @@ class CoalescePolicy : public SchedPolicy
 class StealPolicy : public SchedPolicy
 {
   public:
-    StealPolicy(std::unique_ptr<SchedPolicy> inner, SchedConfig cfg)
-        : inner_(std::move(inner)), cfg_(cfg)
+    StealPolicy(std::unique_ptr<SchedPolicy> inner, bool coalesce)
+        : inner_(std::move(inner)), coalesce_(coalesce)
     {}
 
     const char *name() const override { return "steal"; }
@@ -70,7 +69,7 @@ class StealPolicy : public SchedPolicy
 
   private:
     std::unique_ptr<SchedPolicy> inner_;
-    SchedConfig cfg_;
+    bool coalesce_; ///< absorb friends of a stolen item
 };
 
 } // namespace dadu::runtime::sched

@@ -11,9 +11,10 @@ makePolicy(const SchedConfig &cfg)
     else
         policy = std::make_unique<FifoPolicy>();
     if (cfg.coalesce)
-        policy = std::make_unique<CoalescePolicy>(std::move(policy), cfg);
+        policy = std::make_unique<CoalescePolicy>(std::move(policy));
     if (cfg.steal)
-        policy = std::make_unique<StealPolicy>(std::move(policy), cfg);
+        policy = std::make_unique<StealPolicy>(std::move(policy),
+                                               cfg.coalesce);
     return policy;
 }
 

@@ -76,33 +76,6 @@ functionWeight(FunctionType fn, int live, int nv)
                      static_cast<double>(nv);
 }
 
-/** Batch mask signature of a heterogeneously-masked batch. */
-inline constexpr std::uint64_t kMaskMixed = ~std::uint64_t{0};
-
-/**
- * FNV-1a signature of one request's column mask. 0 means dense (no
- * gating); equal signatures mean identical (mode, seed) pairs, which
- * is what the coalescer needs — merging identically-masked flat items
- * keeps the merged batch mask-uniform, so the backend's SoA fast path
- * still applies to it.
- */
-inline std::uint64_t
-maskSignature(const DynamicsRequest &req)
-{
-    if (req.gating == algo::GatingMode::None || req.seed_cols.empty())
-        return 0;
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(req.gating));
-    for (int c : req.seed_cols)
-        mix(static_cast<std::uint64_t>(c) + 1);
-    // 0 and all-ones are reserved (dense / mixed-batch sentinels).
-    return h == 0 || h == kMaskMixed ? 1 : h;
-}
-
 /** Policy-visible metadata of one queued work item. */
 struct ItemView
 {
@@ -113,9 +86,10 @@ struct ItemView
     double deadline_us = kNoDeadline; ///< absolute, kNoDeadline if untagged
     bool flat = false;     ///< single-stage: mergeable and stealable
     /**
-     * Column-mask signature of the item's batch: 0 dense,
-     * kMaskMixed heterogeneous, else a hash of the shared (mode,
-     * seed). The coalescer only merges items with EQUAL signatures.
+     * Column-mask signature of the item's batch (runtime::
+     * maskSignature): 0 dense, kMaskMixed heterogeneous, else a hash
+     * of the shared seed. The coalescer only merges items with EQUAL
+     * signatures.
      */
     std::uint64_t mask_sig = 0;
 };
@@ -190,15 +164,23 @@ class SchedPolicy
     virtual bool crossLane() const { return false; }
 };
 
+/** The coalescer merges only items with fewer tasks than this. */
+inline constexpr std::size_t kCoalesceOnlyBelow = 64;
+
+/** Task cap of one merged batch. */
+inline constexpr std::size_t kCoalesceMaxTasks = 512;
+
+/** Item cap of one merged batch (bounds the gather/scatter). */
+inline constexpr std::size_t kCoalesceMaxItems = 32;
+
 /**
  * Absorb further small same-function flat items of @p out.lane into
  * @p out (the coalescing step, shared by the coalescing and stealing
- * policies). @p out must already hold one flat primary position;
- * afterwards out.positions is sorted ascending. Returns the number
- * of items absorbed.
+ * policies), within the kCoalesce* caps. @p out must already hold
+ * one flat primary position; afterwards out.positions is sorted
+ * ascending. Returns the number of items absorbed.
  */
-std::size_t absorbSameFnFlat(const QueueView &q, const SchedConfig &cfg,
-                             Pick &out);
+std::size_t absorbSameFnFlat(const QueueView &q, Pick &out);
 
 /**
  * Build the policy chain of @p cfg: FIFO or EDF base, optionally

@@ -43,8 +43,8 @@ StealPolicy::pick(const QueueView &q, int lane, Pick &out)
     // A stolen small batch can bring friends: absorb further small
     // same-function flat items of the SAME victim, so the migration
     // also fills the thief's pipeline.
-    if (cfg_.coalesce)
-        absorbSameFnFlat(q, cfg_, out);
+    if (coalesce_)
+        absorbSameFnFlat(q, out);
     return true;
 }
 

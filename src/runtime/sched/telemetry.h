@@ -57,7 +57,8 @@ struct SchedConfig
      * Merge small same-function flat items queued on one lane into a
      * single backend batch (per-batch pipeline latency is paid once
      * for all of them); the merged BatchStats is split back per job
-     * in proportion to task count.
+     * in proportion to task count. The caps are the kCoalesce*
+     * constants of sched/policy.h.
      */
     bool coalesce = false;
 
@@ -68,15 +69,6 @@ struct SchedConfig
      * clone()s of one configured backend, as with submitSharded().
      */
     bool steal = false;
-
-    /** Only items with fewer tasks than this are merged. */
-    std::size_t coalesce_only_below = 64;
-
-    /** Task cap of one merged batch. */
-    std::size_t coalesce_max_tasks = 512;
-
-    /** Item cap of one merged batch (bounds the gather/scatter). */
-    std::size_t coalesce_max_items = 32;
 
     /**
      * Bounded retry budget for TransientFailure submits: a faulted

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "perf/timing.h"
+#include "runtime/mask.h"
 #include "runtime/obs/aggregate.h"
 #include "runtime/obs/endpoint.h"
 
@@ -92,36 +93,17 @@ DynamicsServer::QueueAdapter::item(int lane, std::size_t pos) const
 
 namespace {
 
-/** True for the ∆ functions whose output columns a seed set gates. */
-bool
-gatesColumns(FunctionType fn)
-{
-    return fn == FunctionType::DeltaID || fn == FunctionType::DeltaFD ||
-           fn == FunctionType::DeltaiFD;
-}
-
 /**
- * Submit-time seed validation over a whole batch (the same check the
- * backends apply). Catching a malformed mask here — instead of
- * letting the backend return InvalidRequest mid-serve — means a
- * deterministic Rejected outcome with no retry loop and no lane
- * quarantine for what is a client error.
+ * Tangent dimension a batch's seeds are validated against at submit:
+ * the first request's q̇ size (the server knows no robot model; the
+ * backend re-checks against its own).
  */
-bool
-batchMasksValid(FunctionType fn, const DynamicsRequest *requests,
-                std::size_t count)
+int
+batchNv(const DynamicsRequest *requests, std::size_t count)
 {
-    if (!gatesColumns(fn) || requests == nullptr)
-        return true;
-    for (std::size_t i = 0; i < count; ++i) {
-        const DynamicsRequest &r = requests[i];
-        if (r.gating == algo::GatingMode::None || r.seed_cols.empty())
-            continue;
-        if (!algo::seedValid(r.seed_cols,
-                             static_cast<int>(r.qd.size())))
-            return false;
-    }
-    return true;
+    return count > 0 && requests != nullptr
+               ? static_cast<int>(requests[0].qd.size())
+               : 0;
 }
 
 /**
@@ -143,28 +125,9 @@ batchUnitWeight(FunctionType fn, const DynamicsRequest *requests,
         const DynamicsRequest &r = requests[i];
         const int nv = static_cast<int>(r.qd.size());
         sum += sched::functionWeight(
-            fn, algo::gatedLiveCount(r.gating, r.seed_cols, nv), nv);
+            fn, algo::gatedLiveCount(r.seed_cols, nv), nv);
     }
     return sum / static_cast<double>(count);
-}
-
-/**
- * Mask signature of a batch: 0 when every request is dense, the
- * shared maskSignature when every request carries the same (mode,
- * seed), kMaskMixed otherwise (a mixed batch never merges with
- * anything mask-uniform).
- */
-std::uint64_t
-batchMaskSig(FunctionType fn, const DynamicsRequest *requests,
-             std::size_t count)
-{
-    if (!gatesColumns(fn) || requests == nullptr || count == 0)
-        return 0;
-    const std::uint64_t sig = sched::maskSignature(requests[0]);
-    for (std::size_t i = 1; i < count; ++i)
-        if (sched::maskSignature(requests[i]) != sig)
-            return sched::kMaskMixed;
-    return sig;
 }
 
 } // namespace
@@ -318,12 +281,16 @@ DynamicsServer::enqueueJob(Job job, int backend_id)
     if (std::isnan(job.deadline_us))
         job.deadline_us = sched::kNoDeadline;
     const std::size_t count = job.count;
+    // A malformed mask is caught here rather than as the backend's
+    // InvalidRequest mid-serve: a deterministic Rejected outcome, no
+    // retry loop and no lane quarantine for what is a client error.
     const bool masks_ok =
-        batchMasksValid(job.fn, job.const_requests, count);
+        masksValid(job.fn, job.const_requests, count,
+                   batchNv(job.const_requests, count));
     if (masks_ok) {
         job.unit_weight =
             batchUnitWeight(job.fn, job.const_requests, count);
-        job.mask_sig = batchMaskSig(job.fn, job.const_requests, count);
+        job.mask_sig = maskSignature(job.fn, job.const_requests, count);
     }
     // A serial-stage job commits ALL its stages to the chosen lane;
     // charge the full FD-equivalent debt so later placement
@@ -439,10 +406,11 @@ DynamicsServer::submitSharded(FunctionType fn,
     job.priority = tag.priority;
     job.deadline_us =
         std::isnan(tag.deadline_us) ? sched::kNoDeadline : tag.deadline_us;
-    const bool masks_ok = batchMasksValid(fn, requests, count);
+    const bool masks_ok =
+        masksValid(fn, requests, count, batchNv(requests, count));
     if (masks_ok) {
         job.unit_weight = batchUnitWeight(fn, requests, count);
-        job.mask_sig = batchMaskSig(fn, requests, count);
+        job.mask_sig = maskSignature(fn, requests, count);
     }
 
     std::lock_guard<std::mutex> lock(mu_);

@@ -408,7 +408,7 @@ class DynamicsServer
          * lane-load books balanced.
          */
         double unit_weight = 1.0;
-        /** Batch mask signature (sched::maskSignature; 0 = dense). */
+        /** Batch mask signature (runtime::maskSignature; 0 = dense). */
         std::uint64_t mask_sig = 0;
         double done_at_us = 0.0; ///< wall completion time (done only)
         bool missed = false;     ///< completed after its deadline

@@ -235,10 +235,8 @@ TEST(MaskValidation, BackendsRejectInvalidSeedsDeterministically)
         for (int i = 0; i < len; ++i)
             seed.push_back(static_cast<int>(rng() % (nv + 2)) - 1);
         const bool valid = algo::seedValid(seed, nv);
-        for (auto &r : reqs) {
-            r.gating = algo::GatingMode::Simple;
+        for (auto &r : reqs)
             r.seed_cols = seed;
-        }
         const runtime::SubmitStatus want =
             valid ? runtime::SubmitStatus::Ok
                   : runtime::SubmitStatus::InvalidRequest;
@@ -261,6 +259,58 @@ TEST(MaskValidation, BackendsRejectInvalidSeedsDeterministically)
     }
 }
 
+TEST(MaskPricing, TimingModelsPriceTheUnionOfLiveColumns)
+{
+    // A heterogeneously masked ∆FD batch is timed for the union of
+    // its live columns, and one dense request times the whole batch
+    // dense. The closed form prices exactly that. The cycle-accurate
+    // simulator sizes its ∆ submodule streams the same way, but each
+    // task still streams only its own live columns, so there the
+    // union-masked and the dense batch are upper bounds.
+    const RobotModel robot = model::makeAtlas();
+    accel::Accelerator accel_hw(robot);
+    runtime::AcceleratorBackend acc(accel_hw);
+    accel::Accelerator accel_ana(robot);
+    runtime::AnalyticBackend ana(accel_ana);
+
+    const std::vector<int> a = {0, 5, 11};
+    const std::vector<int> b = {5, 20, 30};
+    const std::vector<int> a_or_b = {0, 5, 11, 20, 30};
+    auto reqs = randomRequests(robot, 4, 91);
+    std::vector<DynamicsResult> results(4);
+    // Cycles of the batch with seeds alternating @p even / @p odd;
+    // @p dense_first clears request 0's seed.
+    const auto cycles = [&](runtime::DynamicsBackend &be,
+                            const std::vector<int> &even,
+                            const std::vector<int> &odd,
+                            bool dense_first = false) {
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+            reqs[i].seed_cols = i % 2 ? odd : even;
+        if (dense_first)
+            reqs[0].seed_cols.clear();
+        runtime::BatchStats stats;
+        EXPECT_EQ(be.submit(FunctionType::DeltaFD, reqs.data(), 4,
+                            results.data(), &stats),
+                  runtime::SubmitStatus::Ok);
+        return stats.cycles;
+    };
+
+    const std::uint64_t ana_dense = cycles(ana, {}, {});
+    const std::uint64_t ana_mixed = cycles(ana, a, b);
+    EXPECT_LT(ana_mixed, ana_dense);
+    EXPECT_EQ(ana_mixed, cycles(ana, a_or_b, a_or_b));
+    EXPECT_EQ(cycles(ana, a, b, true), ana_dense);
+
+    const std::uint64_t acc_dense = cycles(acc, {}, {});
+    const std::uint64_t acc_union = cycles(acc, a_or_b, a_or_b);
+    const std::uint64_t acc_mixed = cycles(acc, a, b);
+    const std::uint64_t acc_one_dense = cycles(acc, a, b, true);
+    EXPECT_LT(acc_union, acc_dense);
+    EXPECT_LE(acc_mixed, acc_union);
+    EXPECT_GT(acc_one_dense, acc_mixed);
+    EXPECT_LE(acc_one_dense, acc_dense);
+}
+
 TEST(DynamicsServer, InvalidMaskRejectedAtSubmission)
 {
     const RobotModel robot = model::makeIiwa();
@@ -268,10 +318,8 @@ TEST(DynamicsServer, InvalidMaskRejectedAtSubmission)
     runtime::DynamicsServer server(backend);
 
     auto reqs = randomRequests(robot, 4, 3);
-    for (auto &r : reqs) {
-        r.gating = algo::GatingMode::Simple;
+    for (auto &r : reqs)
         r.seed_cols = {0, 0}; // duplicate index: invalid
-    }
     std::vector<DynamicsResult> res(4);
     const int bad =
         server.submit(FunctionType::DeltaFD, reqs.data(), 4, res.data());

@@ -208,30 +208,57 @@ TEST(SchedPolicy, EdfPicksDeadlineThenPriorityThenFifo)
 
 TEST(SchedPolicy, CoalesceMergesOnlySmallSameFnFlatWithinCaps)
 {
+    using runtime::sched::kCoalesceMaxItems;
+    using runtime::sched::kCoalesceMaxTasks;
+    using runtime::sched::kCoalesceOnlyBelow;
+    const std::size_t small = kCoalesceOnlyBelow - 1; // largest mergeable
     SchedConfig cfg;
     cfg.coalesce = true;
-    cfg.coalesce_only_below = 16;
-    cfg.coalesce_max_tasks = 20;
     FakeQueue q(1);
     q.push(0, flatItem(FunctionType::FD, 4));   // primary
     q.push(0, flatItem(FunctionType::FD, 6));   // merges (total 10)
     q.push(0, flatItem(FunctionType::Minv, 4)); // other fn: skipped
-    q.push(0, flatItem(FunctionType::FD, 64));  // too big: skipped
+    q.push(0, flatItem(FunctionType::FD, kCoalesceOnlyBelow)); // too big
     {
         auto serial = flatItem(FunctionType::FD, 4);
         serial.flat = false; // serial-stage item: never merged
         q.push(0, serial);
     }
-    q.push(0, flatItem(FunctionType::FD, 12)); // would bust max_tasks
-    q.push(0, flatItem(FunctionType::FD, 8));  // merges (total 18)
+    std::vector<std::size_t> expected = {0, 1};
+    std::size_t total = 10;
+    std::size_t pos = 5;
+    for (; total + small <= kCoalesceMaxTasks; ++pos, total += small) {
+        q.push(0, flatItem(FunctionType::FD, small)); // merges
+        expected.push_back(pos);
+    }
+    q.push(0, flatItem(FunctionType::FD, small)); // would bust max_tasks
+    ++pos;
+    q.push(0, flatItem(FunctionType::FD, kCoalesceMaxTasks - total));
+    expected.push_back(pos); // merges: fills the task cap exactly
+    ASSERT_LT(expected.size(), kCoalesceMaxItems);
 
     auto policy = runtime::sched::makePolicy(cfg);
     runtime::sched::Pick pick;
     ASSERT_TRUE(policy->pick(q, 0, pick));
-    ASSERT_EQ(pick.positions.size(), 3u);
-    EXPECT_EQ(pick.positions[0], 0u);
-    EXPECT_EQ(pick.positions[1], 1u);
-    EXPECT_EQ(pick.positions[2], 6u);
+    EXPECT_EQ(pick.positions, expected);
+}
+
+TEST(SchedPolicy, CoalesceStopsAtItemCap)
+{
+    using runtime::sched::kCoalesceMaxItems;
+    SchedConfig cfg;
+    cfg.coalesce = true;
+    FakeQueue q(1);
+    // One-task items: the task cap never binds, the item cap does.
+    for (std::size_t i = 0; i < kCoalesceMaxItems + 8; ++i)
+        q.push(0, flatItem(FunctionType::FD, 1));
+
+    auto policy = runtime::sched::makePolicy(cfg);
+    runtime::sched::Pick pick;
+    ASSERT_TRUE(policy->pick(q, 0, pick));
+    ASSERT_EQ(pick.positions.size(), kCoalesceMaxItems);
+    for (std::size_t i = 0; i < kCoalesceMaxItems; ++i)
+        EXPECT_EQ(pick.positions[i], i);
 }
 
 TEST(SchedPolicy, StealTakesFlatWorkOnlyAndOnlyWhenIdle)
@@ -419,8 +446,8 @@ TEST(SchedQos, CoalesceMergesSmallFlatBatchesAndSplitsStats)
     runtime::DynamicsServer server(backend);
     SchedConfig cfg;
     cfg.coalesce = true;
-    cfg.coalesce_only_below = 64;
     server.setPolicy(cfg);
+    static_assert(100 >= runtime::sched::kCoalesceOnlyBelow);
 
     // Three "clients" queue small FD batches plus one Minv batch and
     // one big FD batch on the same lane.
@@ -443,7 +470,7 @@ TEST(SchedQos, CoalesceMergesSmallFlatBatchesAndSplitsStats)
     server.drain(&stats, &sstats);
 
     // One merged 15-task FD batch (4+5+6), then Minv, then the big
-    // batch that exceeded coalesce_only_below.
+    // batch that exceeded kCoalesceOnlyBelow.
     ASSERT_EQ(backend.batchCounts().size(), 3u);
     EXPECT_EQ(backend.batchCounts()[0], 15u);
     EXPECT_EQ(backend.batchCounts()[1], 4u);

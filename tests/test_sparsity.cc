@@ -2,16 +2,12 @@
  * @file
  * Tests for column-sparsity gating of the derivative pipeline:
  *
- *  - ColumnPlan resolution: seed validation, dense fallbacks, and
- *    the adaptive gap coalescing rules;
+ *  - ColumnPlan resolution: seed validation and the dense fallbacks;
  *  - masked scalar and masked SoA sweeps are bitwise identical on
  *    all three evaluation robots;
  *  - every live column of a gated sweep is bitwise identical to the
  *    dense sweep and every dead column is exactly +0.0 (∆FD, ∆ID
  *    and ∆iFD);
- *  - adaptive coalescing is value-invariant: it may compute MORE
- *    columns than the simple seed (fewer runs, same numbers), never
- *    different ones;
  *  - gated steady-state backend submission performs zero heap
  *    allocations (counted global allocator);
  *  - an iLQR solve with gating enabled at tolerance 0 is bitwise
@@ -147,23 +143,18 @@ expectGatedColumns(const ColumnPlan &plan, const MatrixX &gated,
 // ColumnPlan resolution and validation
 // ---------------------------------------------------------------------
 
-TEST(ColumnPlan, EmptySeedAndModeNoneResolveDense)
+TEST(ColumnPlan, EmptySeedAndFullCoverageResolveDense)
 {
     ColumnPlan plan;
     EXPECT_TRUE(plan.dense()); // default-constructed plans are dense
 
-    EXPECT_TRUE(plan.resolve(GatingMode::Simple, {}, 7));
+    EXPECT_TRUE(plan.resolve({}, 7));
     EXPECT_TRUE(plan.dense());
     EXPECT_EQ(plan.liveCount(), 7);
 
-    EXPECT_TRUE(plan.resolve(GatingMode::None, {1, 3}, 7));
-    EXPECT_TRUE(plan.dense());
-
     // Full coverage also resolves dense (no per-column bookkeeping).
-    EXPECT_TRUE(
-        plan.resolve(GatingMode::Simple, {0, 1, 2, 3, 4, 5, 6}, 7));
+    EXPECT_TRUE(plan.resolve({0, 1, 2, 3, 4, 5, 6}, 7));
     EXPECT_TRUE(plan.dense());
-    EXPECT_EQ(plan.runCount(), 1);
 }
 
 TEST(ColumnPlan, InvalidSeedsRejectedDeterministically)
@@ -177,57 +168,31 @@ TEST(ColumnPlan, InvalidSeedsRejectedDeterministically)
     };
     for (const auto &seed : bad) {
         EXPECT_FALSE(seedValid(seed, 7));
-        for (GatingMode mode : {GatingMode::Simple, GatingMode::Adaptive}) {
-            ColumnPlan plan;
-            // Rejection is deterministic and leaves the plan dense.
-            EXPECT_FALSE(plan.resolve(mode, seed, 7));
-            EXPECT_TRUE(plan.dense());
-            EXPECT_FALSE(plan.resolve(mode, seed, 7));
-            EXPECT_TRUE(plan.dense());
-        }
+        ColumnPlan plan;
+        // Rejection is deterministic and leaves the plan dense.
+        EXPECT_FALSE(plan.resolve(seed, 7));
+        EXPECT_TRUE(plan.dense());
+        EXPECT_FALSE(plan.resolve(seed, 7));
+        EXPECT_TRUE(plan.dense());
     }
     EXPECT_TRUE(seedValid({}, 7));
     EXPECT_TRUE(seedValid({6, 0, 3}, 7)); // unsorted is fine
 }
 
-TEST(ColumnPlan, SimpleModeIsExactlyTheSeedSorted)
+TEST(ColumnPlan, ResolvesExactlyTheSeedSorted)
 {
     ColumnPlan plan;
-    ASSERT_TRUE(plan.resolve(GatingMode::Simple, {5, 0, 3}, 8));
+    ASSERT_TRUE(plan.resolve({5, 0, 3}, 8));
     EXPECT_FALSE(plan.dense());
     EXPECT_EQ(plan.liveCount(), 3);
     ASSERT_EQ(plan.cols().size(), 3u);
     EXPECT_EQ(plan.cols()[0], 0);
     EXPECT_EQ(plan.cols()[1], 3);
     EXPECT_EQ(plan.cols()[2], 5);
-    EXPECT_EQ(plan.runCount(), 3);
     EXPECT_TRUE(plan.isLive(0));
     EXPECT_FALSE(plan.isLive(1));
     EXPECT_TRUE(plan.isLive(3));
     EXPECT_FALSE(plan.isLive(7));
-}
-
-TEST(ColumnPlan, AdaptiveCoalescesSmallGapsOnly)
-{
-    // Gap of kAdaptiveMaxGap dead columns between 0 and 3: merged
-    // into one contiguous run with the filler columns live.
-    ColumnPlan plan;
-    ASSERT_TRUE(plan.resolve(GatingMode::Adaptive, {0, 3}, 10));
-    EXPECT_FALSE(plan.dense());
-    EXPECT_EQ(plan.runCount(), 1);
-    EXPECT_EQ(plan.liveCount(), 4);
-    EXPECT_TRUE(plan.isLive(1));
-    EXPECT_TRUE(plan.isLive(2));
-
-    // Gap of kAdaptiveMaxGap + 1: kept as two separate runs.
-    ASSERT_TRUE(plan.resolve(GatingMode::Adaptive, {0, 4}, 10));
-    EXPECT_EQ(plan.runCount(), 2);
-    EXPECT_EQ(plan.liveCount(), 2);
-    EXPECT_FALSE(plan.isLive(2));
-
-    // Coalescing up to full coverage degrades to dense.
-    ASSERT_TRUE(plan.resolve(GatingMode::Adaptive, {0, 3, 6}, 7));
-    EXPECT_TRUE(plan.dense());
 }
 
 TEST(ColumnPlan, GatedLiveCountMatchesResolvedPlan)
@@ -240,13 +205,10 @@ TEST(ColumnPlan, GatedLiveCountMatchesResolvedPlan)
             if (rng() % 3 == 0)
                 seed.push_back(j);
         std::shuffle(seed.begin(), seed.end(), rng);
-        for (GatingMode mode :
-             {GatingMode::None, GatingMode::Simple, GatingMode::Adaptive}) {
-            ColumnPlan plan;
-            ASSERT_TRUE(plan.resolve(mode, seed, nv));
-            EXPECT_EQ(gatedLiveCount(mode, seed, nv), plan.liveCount())
-                << "mode=" << gatingModeName(mode) << " nv=" << nv;
-        }
+        ColumnPlan plan;
+        ASSERT_TRUE(plan.resolve(seed, nv));
+        EXPECT_EQ(gatedLiveCount(seed, nv), plan.liveCount())
+            << "nv=" << nv;
     }
 }
 
@@ -283,8 +245,7 @@ TEST_P(SparsityTest, MaskedSoaMatchesMaskedScalarBitwise)
     const RobotModel robot = this->robot();
     const Batch in = randomBatch(robot, 13, 71); // ragged remainder
     ColumnPlan plan;
-    ASSERT_TRUE(plan.resolve(GatingMode::Simple,
-                             scatteredSeed(robot.nv()), robot.nv()));
+    ASSERT_TRUE(plan.resolve(scatteredSeed(robot.nv()), robot.nv()));
     ASSERT_FALSE(plan.dense());
 
     BatchedDynamics engine(robot, 2);
@@ -312,8 +273,7 @@ TEST_P(SparsityTest, GivenAccelSoaMatchesMaskedScalarBitwise)
     const int nv = robot.nv();
     const Batch in = randomBatch(robot, 13, 72); // ragged remainder
     ColumnPlan plan;
-    ASSERT_TRUE(
-        plan.resolve(GatingMode::Simple, scatteredSeed(nv), nv));
+    ASSERT_TRUE(plan.resolve(scatteredSeed(nv), nv));
     ASSERT_FALSE(plan.dense());
 
     BatchedDynamics engine(robot, 2);
@@ -383,14 +343,13 @@ TEST_P(SparsityTest, GatedGivenAccelBackendMatchesDenseSubset)
 
     // Mask-uniform batch (the gated iLQR refresh shape).
     for (auto &r : reqs) {
-        r.gating = GatingMode::Simple;
         r.seed_cols = scatteredSeed(nv);
     }
     ASSERT_EQ(backend.submit(FunctionType::DeltaiFD, reqs.data(), 10,
                              gated.data()),
               runtime::SubmitStatus::Ok);
     ColumnPlan plan;
-    ASSERT_TRUE(plan.resolve(GatingMode::Simple, scatteredSeed(nv), nv));
+    ASSERT_TRUE(plan.resolve(scatteredSeed(nv), nv));
     for (int i = 0; i < 10; ++i) {
         expectBitwiseEqual(gated[i].qdd, dense[i].qdd);
         expectGatedColumns(plan, gated[i].dqdd_dq, dense[i].dqdd_dq);
@@ -402,8 +361,7 @@ TEST_P(SparsityTest, GatedGivenAccelBackendMatchesDenseSubset)
     std::vector<ColumnPlan> plans(10);
     for (int i = 0; i < 10; ++i) {
         reqs[i].seed_cols = {i % nv};
-        ASSERT_TRUE(
-            plans[i].resolve(GatingMode::Simple, reqs[i].seed_cols, nv));
+        ASSERT_TRUE(plans[i].resolve(reqs[i].seed_cols, nv));
     }
     ASSERT_EQ(backend.submit(FunctionType::DeltaiFD, reqs.data(), 10,
                              gated.data()),
@@ -421,8 +379,7 @@ TEST_P(SparsityTest, MaskedMatchesDenseOnLiveColumnsDeadExactlyZero)
     const Batch in = randomBatch(robot, 4, 5);
     DynamicsWorkspace ws(robot);
     ColumnPlan plan;
-    ASSERT_TRUE(plan.resolve(GatingMode::Simple,
-                             scatteredSeed(robot.nv()), robot.nv()));
+    ASSERT_TRUE(plan.resolve(scatteredSeed(robot.nv()), robot.nv()));
 
     FdDerivatives dense_fd, gated_fd;
     RneaDerivatives dense_id, gated_id;
@@ -453,44 +410,6 @@ TEST_P(SparsityTest, MaskedMatchesDenseOnLiveColumnsDeadExactlyZero)
     }
 }
 
-TEST_P(SparsityTest, AdaptiveCoalescingIsValueInvariant)
-{
-    // The adaptive plan fills gaps with columns computed at their
-    // TRUE values: every column live under EITHER plan is bitwise
-    // equal to the dense sweep, and adaptive never has more runs.
-    const RobotModel robot = this->robot();
-    const int nv = robot.nv();
-    const Batch in = randomBatch(robot, 6, 17);
-    const std::vector<int> seed = scatteredSeed(nv);
-
-    ColumnPlan simple, adaptive;
-    ASSERT_TRUE(simple.resolve(GatingMode::Simple, seed, nv));
-    ASSERT_TRUE(adaptive.resolve(GatingMode::Adaptive, seed, nv));
-    EXPECT_LE(adaptive.runCount(), simple.runCount());
-    EXPECT_GE(adaptive.liveCount(), simple.liveCount());
-    for (int c : seed) // adaptive only ever ADDS live columns
-        EXPECT_TRUE(adaptive.isLive(c));
-
-    BatchedDynamics engine(robot, 2);
-    const std::vector<FdDerivatives> dense =
-        engine.batchFdDerivatives(in.q, in.qd, in.tau);
-    const std::vector<FdDerivatives> with_simple =
-        engine.batchFdDerivatives(in.q, in.qd, in.tau, &simple);
-    const std::vector<FdDerivatives> &with_adaptive =
-        engine.batchFdDerivatives(in.q, in.qd, in.tau, &adaptive);
-
-    for (int i = 0; i < 6; ++i) {
-        expectGatedColumns(simple, with_simple[i].dqdd_dq,
-                           dense[i].dqdd_dq);
-        expectGatedColumns(simple, with_simple[i].dqdd_dqd,
-                           dense[i].dqdd_dqd);
-        expectGatedColumns(adaptive, with_adaptive[i].dqdd_dq,
-                           dense[i].dqdd_dq);
-        expectGatedColumns(adaptive, with_adaptive[i].dqdd_dqd,
-                           dense[i].dqdd_dqd);
-    }
-}
-
 TEST_P(SparsityTest, GatedBackendSubmitMatchesDenseSubset)
 {
     // End-to-end through CpuBatchedBackend: a gated ∆FD batch agrees
@@ -509,14 +428,13 @@ TEST_P(SparsityTest, GatedBackendSubmitMatchesDenseSubset)
 
     // Mask-uniform batch (the iLQR shape).
     for (auto &r : reqs) {
-        r.gating = GatingMode::Simple;
         r.seed_cols = scatteredSeed(nv);
     }
     ASSERT_EQ(backend.submit(FunctionType::DeltaFD, reqs.data(), 10,
                              gated.data()),
               runtime::SubmitStatus::Ok);
     ColumnPlan plan;
-    ASSERT_TRUE(plan.resolve(GatingMode::Simple, scatteredSeed(nv), nv));
+    ASSERT_TRUE(plan.resolve(scatteredSeed(nv), nv));
     for (int i = 0; i < 10; ++i) {
         expectBitwiseEqual(gated[i].qdd, dense[i].qdd);
         expectGatedColumns(plan, gated[i].dqdd_dq, dense[i].dqdd_dq);
@@ -527,8 +445,7 @@ TEST_P(SparsityTest, GatedBackendSubmitMatchesDenseSubset)
     std::vector<ColumnPlan> plans(10);
     for (int i = 0; i < 10; ++i) {
         reqs[i].seed_cols = {i % nv};
-        ASSERT_TRUE(
-            plans[i].resolve(GatingMode::Simple, reqs[i].seed_cols, nv));
+        ASSERT_TRUE(plans[i].resolve(reqs[i].seed_cols, nv));
     }
     ASSERT_EQ(backend.submit(FunctionType::DeltaFD, reqs.data(), 10,
                              gated.data()),
@@ -554,10 +471,8 @@ TEST(Sparsity, GatedBackendSubmitSteadyStateAllocationFree)
     runtime::CpuBatchedBackend backend(robot, 2);
 
     auto reqs = dadu::tests::randomRequests(robot, 8, 9);
-    for (auto &r : reqs) {
-        r.gating = GatingMode::Adaptive;
+    for (auto &r : reqs)
         r.seed_cols = scatteredSeed(robot.nv());
-    }
     std::vector<DynamicsResult> results(8);
 
     // Warm-up sizes the staging vectors, result storage and the
@@ -610,7 +525,7 @@ TEST(Sparsity, GatedIlqrWithZeroToleranceBitwiseEqualsDense)
 
         ctrl::IlqrSolver dense(robot, sc.problem);
         ctrl::IlqrOptions gated_opts;
-        gated_opts.gating = GatingMode::Simple;
+        gated_opts.gating = true;
         gated_opts.gating_tol = 0.0;
         ctrl::IlqrSolver gated(robot, sc.problem, gated_opts);
 
@@ -642,7 +557,7 @@ TEST(Sparsity, GatedIlqrConvergesOnAllRobots)
         const ctrl::Scenario sc = ctrl::makeReachingScenario(robot);
 
         ctrl::IlqrOptions opts;
-        opts.gating = GatingMode::Adaptive;
+        opts.gating = true;
         opts.gating_tol = 1e-4;
         opts.dense_refresh_every = 8;
         ctrl::IlqrSolver solver(robot, sc.problem, opts);

@@ -81,6 +81,15 @@ SPEC = {
         # Modeled accelerator time of a deterministic tick stream.
         ("accel_dynamics_us_per_tick_model", "exact", None),
     ],
+    "BENCH_sparsity.json": [
+        ("schema_version", "exact", None),
+        # The gated closed loops are deterministic: which columns the
+        # solver requests, and so what it tracks, must not move.
+        ("mpc_*_gated_tracking_err", "exact", None),
+        ("mpc_*_gated_refreshes", "exact", None),
+        ("mpc_*_skipped_refreshes", "exact", None),
+        ("mpc_*_mean_live_density", "exact", None),
+    ],
 }
 
 
