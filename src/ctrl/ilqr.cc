@@ -7,60 +7,16 @@
 
 #include "perf/timing.h"
 
-#include "model/quaternion.h"
-
 namespace dadu::ctrl {
 
-using linalg::Mat3;
-using linalg::Vec3;
-using model::Quaternion;
 using runtime::DynamicsRequest;
 using runtime::DynamicsResult;
 using runtime::FunctionType;
 
-namespace {
-
-/**
- * Right Jacobian of SO(3) at rotation vector θ:
- *   Jr(θ) = I − (1−cosθ)/θ²·[θ]× + (θ−sinθ)/θ³·[θ]×²
- * with the Taylor guard for small angles. Maps a perturbation of the
- * rotation vector to the body-frame tangent of Exp(θ).
- */
-Mat3
-so3RightJacobian(const Vec3 &theta)
-{
-    const double t2 = theta.dot(theta);
-    double c1, c2; // (1−cosθ)/θ², (θ−sinθ)/θ³
-    if (t2 < 1e-12) {
-        c1 = 0.5 - t2 / 24.0;
-        c2 = 1.0 / 6.0 - t2 / 120.0;
-    } else {
-        const double t = std::sqrt(t2);
-        c1 = (1.0 - std::cos(t)) / t2;
-        c2 = (t - std::sin(t)) / (t2 * t);
-    }
-    const Mat3 k = linalg::skew(theta);
-    const Mat3 k2 = k * k;
-    Mat3 jr = Mat3::identity();
-    for (int i = 0; i < 3; ++i)
-        for (int j = 0; j < 3; ++j)
-            jr(i, j) += -c1 * k(i, j) + c2 * k2(i, j);
-    return jr;
-}
-
-/** Rotation matrix of Exp(θ) (the integration increment). */
-Mat3
-so3Exp(const Vec3 &theta)
-{
-    return Quaternion::identity().integrated(theta).toRotation();
-}
-
-} // namespace
-
 IlqrSolver::IlqrSolver(const RobotModel &robot, OcpProblem problem,
                        IlqrOptions options)
     : robot_(robot), prob_(std::move(problem)), opts_(options),
-      nv_(robot.nv())
+      nv_(robot.nv()), riccati_(robot, prob_.dt)
 {
     const int N = prob_.knots;
     const int nq = robot_.nq();
@@ -92,23 +48,8 @@ IlqrSolver::IlqrSolver(const RobotModel &robot, OcpProblem problem,
     reg_ = opts_.reg_init;
     costs_.reserve(opts_.max_iterations + 2);
 
-    // Backward-pass storage, sized once.
-    A_.resize(nx, nx);
-    B_.resize(nx, nv_);
-    Vxx_.resize(nx, nx);
-    Qxx_.resize(nx, nx);
-    Qux_.resize(nv_, nx);
-    Quu_.resize(nv_, nv_);
-    VA_.resize(nx, nx);
-    VB_.resize(nx, nv_);
-    QuuK_.resize(nv_, nx);
-    KQux_.resize(nx, nx);
-    rhs_.resize(nv_, 1 + nx);
-    Vx_.resize(nx);
-    Qx_.resize(nx);
-    Qu_.resize(nv_);
-    tmpu_.resize(nv_);
-    tmpx_.resize(nx);
+    lx_.resize(nx);
+    lu_.resize(nv_);
     step_.resize(nv_);
     dq_.resize(nv_);
     dqd_.resize(nv_);
@@ -386,21 +327,19 @@ IlqrSolver::backwardPass()
 {
     const int N = prob_.knots;
     const int n = nv_;
-    const int nx = 2 * n;
-    const double h = prob_.dt;
 
     // Terminal value function.
     robot_.differenceInto(prob_.q_ref[N], q_[N], eq_);
-    Vx_.resize(nx);
+    VectorX &Vx = riccati_.vx();
+    MatrixX &Vxx = riccati_.vxx();
     for (int j = 0; j < n; ++j) {
-        Vx_[j] = prob_.wq_term * eq_[j];
-        Vx_[n + j] =
-            prob_.wqd_term * (qd_[N][j] - prob_.qd_ref[N][j]);
+        Vx[j] = prob_.wq_term * eq_[j];
+        Vx[n + j] = prob_.wqd_term * (qd_[N][j] - prob_.qd_ref[N][j]);
     }
-    Vxx_.resize(nx, nx);
+    Vxx.setZero();
     for (int j = 0; j < n; ++j) {
-        Vxx_(j, j) = prob_.wq_term;
-        Vxx_(n + j, n + j) = prob_.wqd_term;
+        Vxx(j, j) = prob_.wq_term;
+        Vxx(n + j, n + j) = prob_.wqd_term;
     }
 
     d1_ = 0.0;
@@ -408,180 +347,48 @@ IlqrSolver::backwardPass()
     grad_norm_ = 0.0;
 
     const bool gate = opts_.gating;
+    if (trace_)
+        trace_->record(runtime::obs::EventKind::RiccatiBegin,
+                       perf::nowUs(), -1, -1, FunctionType::DeltaFD, 0,
+                       reg_);
+    bool ok = true;
+    for (int k = N - 1; k >= 0 && ok; --k) {
+        // Cost expansion at knot k.
+        robot_.differenceInto(prob_.q_ref[k], q_[k], eq_);
+        for (int j = 0; j < n; ++j) {
+            lx_[j] = prob_.wq * eq_[j];
+            lx_[n + j] = prob_.wqd * (qd_[k][j] - prob_.qd_ref[k][j]);
+        }
+        const VectorX *ur = uRef(k);
+        for (int j = 0; j < n; ++j)
+            lu_[j] = prob_.wu * (u_[k][j] - (ur ? (*ur)[j] : 0.0));
 
-    for (int k = N - 1; k >= 0; --k) {
         // Under gating the caches hold the merged Jacobians (live
         // columns fresh, dead columns from their last computation);
         // M⁻¹ is a dense ∆FD byproduct either way, always fresh.
-        const MatrixX &fq =
-            gate ? fq_cache_[k] : lin_res_[k].dqdd_dq;
-        const MatrixX &fqd =
-            gate ? fqd_cache_[k] : lin_res_[k].dqdd_dqd;
-        const MatrixX &minv = gate ? minv_cache_[k] : lin_res_[k].minv;
-        assert(static_cast<int>(fq.rows()) == n &&
-               static_cast<int>(minv.rows()) == n);
-
-        // Tangent-space linearization of the explicit-Euler step:
-        //   A = [ I     h·I        ]   B = [ 0      ]
-        //       [ h·fq  I + h·fqd ]       [ h·M⁻¹ ]
-        for (int i = 0; i < n; ++i) {
-            for (int j = 0; j < n; ++j) {
-                A_(i, j) = i == j ? 1.0 : 0.0;
-                A_(i, n + j) = i == j ? h : 0.0;
-                A_(n + i, j) = h * fq(i, j);
-                A_(n + i, n + j) =
-                    (i == j ? 1.0 : 0.0) + h * fqd(i, j);
-                B_(i, j) = 0.0;
-                B_(n + i, j) = h * minv(i, j);
-            }
-        }
-
-        // Exact discrete Jacobian on the manifold: for quaternion
-        // joints, ∂(q ⊕ h·q̇)/∂(δq, δq̇) is NOT the Euclidean
-        // (I, h·I) — the configuration step is a group composition.
-        // With right perturbations q' = q ∘ Exp(δφ) and the body-
-        // frame log as the difference, the exact blocks are
-        //   ∂δφ⁺/∂δφ = E_hᵀ           (E_h = Exp(h·ω)),
-        //   ∂δφ⁺/∂δω = h·Jr(h·ω)      (right Jacobian),
-        // and for a floating base additionally (p integrated via the
-        // body frame, δp measured there):
-        //   ∂δp⁺/∂δφ = −h·E_hᵀ·[v_lin]×,  ∂δp⁺/∂δp = E_hᵀ,
-        //   ∂δp⁺/∂δv = h·E_hᵀ.
-        for (int b = 0; b < robot_.nb(); ++b) {
-            const auto &link = robot_.link(b);
-            if (link.joint != model::JointType::Spherical &&
-                link.joint != model::JointType::Floating)
-                continue;
-            const int vi = link.vIndex;
-            const VectorX &v = qd_[k];
-            const Vec3 homega{h * v[vi], h * v[vi + 1],
-                              h * v[vi + 2]};
-            const Mat3 eht = so3Exp(homega).transpose();
-            const Mat3 hjr = so3RightJacobian(homega) * h;
-            for (int i = 0; i < 3; ++i) {
-                for (int j = 0; j < 3; ++j) {
-                    A_(vi + i, vi + j) = eht(i, j);
-                    A_(vi + i, n + vi + j) = hjr(i, j);
-                }
-            }
-            if (link.joint == model::JointType::Floating) {
-                const Vec3 vlin{v[vi + 3], v[vi + 4], v[vi + 5]};
-                const Mat3 dp_dphi =
-                    eht * linalg::skew(vlin) * (-h);
-                for (int i = 0; i < 3; ++i) {
-                    for (int j = 0; j < 3; ++j) {
-                        A_(vi + 3 + i, vi + j) = dp_dphi(i, j);
-                        A_(vi + 3 + i, vi + 3 + j) = eht(i, j);
-                        A_(vi + 3 + i, n + vi + 3 + j) =
-                            h * eht(i, j);
-                    }
-                }
-            }
-        }
-
-        // Q-function gradients: Qx = lx + Aᵀ Vx', Qu = lu + Bᵀ Vx'.
-        robot_.differenceInto(prob_.q_ref[k], q_[k], eq_);
-        A_.transposeMultiplyInto(Vx_, Qx_);
-        for (int j = 0; j < n; ++j) {
-            Qx_[j] += prob_.wq * eq_[j];
-            Qx_[n + j] +=
-                prob_.wqd * (qd_[k][j] - prob_.qd_ref[k][j]);
-        }
-        B_.transposeMultiplyInto(Vx_, Qu_);
-        const VectorX *ur = uRef(k);
-        for (int j = 0; j < n; ++j)
-            Qu_[j] += prob_.wu * (u_[k][j] - (ur ? (*ur)[j] : 0.0));
-        grad_norm_ = std::max(grad_norm_, Qu_.maxAbs());
-
-        // Q-function Hessians.
-        Vxx_.multiplyInto(A_, VA_);
-        A_.transposeMultiplyInto(VA_, Qxx_);
-        for (int j = 0; j < n; ++j) {
-            Qxx_(j, j) += prob_.wq;
-            Qxx_(n + j, n + j) += prob_.wqd;
-        }
-        B_.transposeMultiplyInto(VA_, Qux_);
-        Vxx_.multiplyInto(B_, VB_);
-        B_.transposeMultiplyInto(VB_, Quu_);
-        for (int j = 0; j < n; ++j)
-            Quu_(j, j) += prob_.wu + reg_;
-
-        // Gains: Quu · [kff | K] = -[Qu | Qux], one multi-RHS solve
-        // into the constructor-sized rhs_ (every entry overwritten).
-        for (int i = 0; i < n; ++i) {
-            rhs_(i, 0) = -Qu_[i];
-            for (int j = 0; j < nx; ++j)
-                rhs_(i, 1 + j) = -Qux_(i, j);
-        }
-        if (n <= linalg::SmallLdlt::kMaxDim) {
-            if (!quu_small_.compute(&Quu_(0, 0), n))
-                return false;
-            for (int i = 0; i < n; ++i) {
-                if (quu_small_.pivot(i) <= 0.0)
-                    return false; // not PD: raise regularization
-            }
-            double col[linalg::SmallLdlt::kMaxDim];
-            for (int c = 0; c < 1 + nx; ++c) {
-                for (int i = 0; i < n; ++i)
-                    col[i] = rhs_(i, c);
-                quu_small_.solveInPlace(col);
-                for (int i = 0; i < n; ++i)
-                    rhs_(i, c) = col[i];
-            }
-        } else {
-            if (!quu_ldlt_.compute(Quu_))
-                return false;
-            for (int i = 0; i < n; ++i) {
-                if (quu_ldlt_.vectorD()[i] <= 0.0)
-                    return false; // not PD: raise regularization
-            }
-            quu_ldlt_.solveInPlace(rhs_);
-        }
-        VectorX &kff = kff_[k];
-        MatrixX &K = K_[k];
-        for (int i = 0; i < n; ++i) {
-            kff[i] = rhs_(i, 0);
-            for (int j = 0; j < nx; ++j)
-                K(i, j) = rhs_(i, 1 + j);
-        }
-
-        // Expected decrease: ΔJ(α) ≈ α·d1 + ½α²·d2 with
-        // d1 = Σ kffᵀQu < 0 and d2 = Σ kffᵀQuu·kff > 0 when PD.
-        Quu_.multiplyInto(kff, tmpu_);
-        const double k_quu_k = kff.dot(tmpu_);
-        if (k_quu_k < 0.0)
-            return false; // Quu indefinite despite factorization
-        d1_ += kff.dot(Qu_);
-        d2_ += k_quu_k;
-
-        // Value recursion:
-        //   Vx  = Qx + Kᵀ(Quu·kff + Qu) + Quxᵀ·kff
-        //   Vxx = Qxx + Kᵀ·Quu·K + Kᵀ·Qux + Quxᵀ·K (symmetrized)
-        for (int i = 0; i < n; ++i)
-            tmpu_[i] += Qu_[i];
-        K.transposeMultiplyInto(tmpu_, tmpx_);
-        Vx_ = Qx_;
-        for (int j = 0; j < nx; ++j)
-            Vx_[j] += tmpx_[j];
-        Qux_.transposeMultiplyInto(kff, tmpx_);
-        for (int j = 0; j < nx; ++j)
-            Vx_[j] += tmpx_[j];
-
-        Quu_.multiplyInto(K, QuuK_);
-        K.transposeMultiplyInto(QuuK_, Vxx_);
-        K.transposeMultiplyInto(Qux_, KQux_);
-        for (int i = 0; i < nx; ++i)
-            for (int j = 0; j < nx; ++j)
-                Vxx_(i, j) += Qxx_(i, j) + KQux_(i, j) + KQux_(j, i);
-        for (int i = 0; i < nx; ++i) {
-            for (int j = i + 1; j < nx; ++j) {
-                const double s = 0.5 * (Vxx_(i, j) + Vxx_(j, i));
-                Vxx_(i, j) = s;
-                Vxx_(j, i) = s;
-            }
+        const RiccatiKnot knot{
+            gate ? fq_cache_[k] : lin_res_[k].dqdd_dq,
+            gate ? fqd_cache_[k] : lin_res_[k].dqdd_dqd,
+            gate ? minv_cache_[k] : lin_res_[k].minv,
+            qd_[k],
+            lx_,
+            lu_,
+            prob_.wq,
+            prob_.wqd,
+            prob_.wu + reg_};
+        RiccatiTerms terms;
+        ok = riccati_.step(knot, kff_[k], K_[k], terms);
+        grad_norm_ = std::max(grad_norm_, terms.qu_max);
+        if (ok) {
+            d1_ += terms.kff_qu;
+            d2_ += terms.kff_quu_kff;
         }
     }
-    return true;
+    if (trace_)
+        trace_->record(runtime::obs::EventKind::RiccatiEnd, perf::nowUs(),
+                       -1, -1, FunctionType::DeltaFD, ok ? 1u : 0u,
+                       grad_norm_);
+    return ok;
 }
 
 double

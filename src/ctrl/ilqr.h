@@ -9,9 +9,14 @@
  *     ∆FD submission (N independent knots — the pipeline-filling
  *     flat batch the paper's accelerator is built for), assembling
  *     the tangent-space A_k/B_k from ∂q̈/∂q, ∂q̈/∂q̇ and M⁻¹;
- *  2. runs a regularized Riccati backward sweep on the host —
- *     linalg::Ldlt (or SmallLdlt for ≤6-DOF control spaces) on Quu
- *     in caller-owned workspaces, zero steady-state allocations;
+ *  2. runs a regularized Riccati backward sweep on the host
+ *     (ctrl::RiccatiSweep, one step per knot): A's top rows are
+ *     [I | h·I] plus the joints' fixed-pattern manifold patches and
+ *     B's top half is zero, so only the dense blocks go through the
+ *     register-tiled linalg kernels, and the gains come from one
+ *     row-interleaved multi-RHS solve (linalg::Ldlt, or SmallLdlt for
+ *     ≤6-DOF control spaces). The sweep is bitwise equal to the dense
+ *     MatrixX recursion and allocates nothing in the steady state;
  *  3. rolls the feedback policy forward with a backtracking line
  *     search — RobotModel::integrateInto plus one FD request per
  *     step — accepting on an Armijo cost-decrease test.
@@ -31,7 +36,7 @@
 #include <vector>
 
 #include "ctrl/problem.h"
-#include "linalg/factorize.h"
+#include "ctrl/riccati.h"
 #include "linalg/matrixx.h"
 #include "model/robot_model.h"
 #include "runtime/backend.h"
@@ -201,7 +206,9 @@ class IlqrSolver
      * null disables (the default). IterEnd carries whether the step
      * was accepted, the linearize mode this iteration engaged (dense
      * / gated / skipped) and the live-column count it submitted, so
-     * a trace shows how gating and convergence interleave. The ring
+     * a trace shows how gating and convergence interleave. Each
+     * backward sweep inside it gets a nested RiccatiBegin/RiccatiEnd
+     * span (regularization in, PD outcome and ‖Qu‖∞ out). The ring
      * must be single-producer: the solver's calling thread (e.g. its
      * MpcSession's claimed ring).
      */
@@ -216,7 +223,8 @@ class IlqrSolver
     void linearize(DynamicsChannel &channel);
 
     /**
-     * Regularized Riccati sweep over lin_res_. Fills kff_/K_ and the
+     * Regularized Riccati sweep over lin_res_ (or the gating caches),
+     * one RiccatiSweep::step per knot. Fills kff_/K_ and the
      * expected-decrease coefficients; updates grad_norm_.
      * @return false when Quu failed to factorize positive-definite
      *         at the current regularization.
@@ -286,13 +294,10 @@ class IlqrSolver
     std::vector<VectorX> kff_;
     std::vector<MatrixX> K_;
 
-    // Backward-pass workspace (all sized once, reused per knot).
-    MatrixX A_, B_;            ///< 2nv x 2nv / 2nv x nv linearization
-    MatrixX Vxx_, Qxx_, Qux_, Quu_, VA_, VB_, QuuK_, KQux_;
-    VectorX Vx_, Qx_, Qu_, tmpu_, tmpx_;
-    linalg::Ldlt quu_ldlt_;         ///< nu > 6 factorization
-    linalg::SmallLdlt quu_small_;   ///< nu ≤ 6 fast path
-    MatrixX rhs_;                   ///< [-Qu | -Qux] gain solve RHS
+    // Backward sweep: value function and per-knot workspaces, plus
+    // the knot's cost gradients it reads.
+    RiccatiSweep riccati_;
+    VectorX lx_, lu_;
 
     // Rollout scratch.
     VectorX step_, dq_, dqd_, eq_;

@@ -136,21 +136,34 @@ Ldlt::solveInPlace(MatrixX &b) const
     assert(b.rows() == l_.rows());
     const std::size_t n = b.rows();
     const std::size_t m = b.cols();
-    for (std::size_t c = 0; c < m; ++c) {
-        for (std::size_t i = 0; i < n; ++i) {
-            double s = b(i, c);
-            for (std::size_t j = 0; j < i; ++j)
-                s -= l_(i, j) * b(j, c);
-            b(i, c) = s;
+    double *x = b.data();
+    // Row-interleaved: each substitution step updates one row across
+    // every right-hand side, so the inner loop runs along contiguous
+    // storage. Per element the subtraction order is that of
+    // solveInPlace(VectorX) on the column, so results are bitwise
+    // equal to solving column by column.
+    for (std::size_t i = 0; i < n; ++i) {
+        double *xi = x + i * m;
+        for (std::size_t j = 0; j < i; ++j) {
+            const double lij = l_(i, j);
+            const double *xj = x + j * m;
+            for (std::size_t c = 0; c < m; ++c)
+                xi[c] -= lij * xj[c];
         }
-        for (std::size_t i = 0; i < n; ++i)
-            b(i, c) /= d_[i];
-        for (std::size_t ii = 0; ii < n; ++ii) {
-            const std::size_t i = n - 1 - ii;
-            double s = b(i, c);
-            for (std::size_t j = i + 1; j < n; ++j)
-                s -= l_(j, i) * b(j, c);
-            b(i, c) = s;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        double *xi = x + i * m;
+        for (std::size_t c = 0; c < m; ++c)
+            xi[c] /= d_[i];
+    }
+    for (std::size_t ii = 0; ii < n; ++ii) {
+        const std::size_t i = n - 1 - ii;
+        double *xi = x + i * m;
+        for (std::size_t j = i + 1; j < n; ++j) {
+            const double lji = l_(j, i);
+            const double *xj = x + j * m;
+            for (std::size_t c = 0; c < m; ++c)
+                xi[c] -= lji * xj[c];
         }
     }
 }

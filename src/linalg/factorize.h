@@ -83,9 +83,11 @@ class Ldlt
     void solveInPlace(VectorX &b) const;
 
     /**
-     * Solve M X = B column-wise, overwriting @p b with X; no
-     * allocation (the substitutions run directly on the row-major
-     * columns). The multi-RHS path of the iLQR backward pass.
+     * Solve M X = B for every column of @p b at once, overwriting it
+     * with X; no allocation. The substitutions sweep whole rows
+     * (contiguous in row-major storage); each column's result is
+     * bitwise equal to solveInPlace(VectorX) on it. The multi-RHS
+     * gain solve of the iLQR backward pass.
      */
     void solveInPlace(MatrixX &b) const;
 

@@ -45,6 +45,10 @@ class VectorX
 
     std::size_t size() const { return data_.size(); }
 
+    /** Contiguous storage (for the pointer-and-stride kernels). */
+    double *data() { return data_.data(); }
+    const double *data() const { return data_.data(); }
+
     void resize(std::size_t n) { data_.assign(n, 0.0); }
 
     VectorX &
@@ -218,6 +222,10 @@ class MatrixX
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
+
+    /** Row-major storage; the row stride is cols(). */
+    double *data() { return data_.data(); }
+    const double *data() const { return data_.data(); }
 
     void
     resize(std::size_t r, std::size_t c)

@@ -31,10 +31,12 @@ char phaseOf(EventKind k)
     case EventKind::ExecBegin:
     case EventKind::TickBegin:
     case EventKind::IterBegin:
+    case EventKind::RiccatiBegin:
         return 'B';
     case EventKind::ExecEnd:
     case EventKind::TickEnd:
     case EventKind::IterEnd:
+    case EventKind::RiccatiEnd:
         return 'E';
     default:
         return 'i';
@@ -55,6 +57,9 @@ const char *spanName(EventKind k)
     case EventKind::IterBegin:
     case EventKind::IterEnd:
         return "ilqr_iter";
+    case EventKind::RiccatiBegin:
+    case EventKind::RiccatiEnd:
+        return "riccati";
     default:
         return eventKindName(k);
     }

@@ -28,6 +28,8 @@ const char *eventKindName(EventKind k)
     case EventKind::IterBegin: return "ilqr_iter";
     case EventKind::IterEnd: return "ilqr_iter_end";
     case EventKind::Fault: return "fault";
+    case EventKind::RiccatiBegin: return "riccati";
+    case EventKind::RiccatiEnd: return "riccati_end";
     }
     return "unknown";
 }

@@ -27,7 +27,8 @@
  *    Every producer holds the server mutex, so writes are serialized
  *    the same way.
  *  - further rings: claimed by clients (MpcSession per-tick spans,
- *    iLQR per-iteration spans) — one ring per client thread.
+ *    iLQR per-iteration and per-backward-sweep spans) — one ring
+ *    per client thread.
  *
  * Recording is wait-free and allocation-free: one relaxed index
  * bump and a struct store into preallocated storage. A full ring
@@ -78,6 +79,9 @@ enum class EventKind : std::uint8_t
     IterEnd,       ///< a = accepted | (gating mode << 1), b = live columns this iteration
     // Fault injection (recorded by the injecting backend's serving thread).
     Fault,         ///< a = 0 transient, 1 corrupt, 2 latency spike, 3 death; b = magnitude
+    // Client-side span (client rings), nested inside IterBegin/IterEnd.
+    RiccatiBegin,  ///< one iLQR backward sweep; b = Quu regularization
+    RiccatiEnd,    ///< a = 1 if every knot's Quu was PD else 0, b = max_k ‖Qu_k‖∞
 };
 
 /** Human-readable (and Chrome-trace "name") label of an event kind. */

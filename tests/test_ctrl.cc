@@ -13,6 +13,12 @@
  *  - zero steady-state allocations in the solve loop (counted
  *    global allocator), on both the SmallLdlt (nv <= 6) and the
  *    Ldlt Riccati paths;
+ *  - the structured Riccati step bitwise against the dense MatrixX
+ *    formulation it replaced (kept here as the oracle), on serial,
+ *    floating-base and spherical-joint robots;
+ *  - non-finite input (a NaN initial state or Jacobian) ends in an
+ *    explicit outcome: rejected iterations, a stall or the
+ *    iteration cap, never an accepted non-finite trajectory;
  *  - receding-horizon MpcSession: closed-loop tracking on iiwa,
  *    bounded behavior on the floating-base HyQ, deadline accounting
  *    of the multi-client closed-loop serving scenario;
@@ -25,16 +31,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <random>
 
 #include "app/closed_loop.h"
 #include "ctrl/ilqr.h"
 #include "ctrl/mpc_session.h"
+#include "ctrl/riccati.h"
 #include "ctrl/scenarios.h"
 #include "model/builders.h"
+#include "model/quaternion.h"
 #include "runtime/backends.h"
 #include "runtime/sched/policy.h"
 #include "runtime/server.h"
@@ -96,9 +107,44 @@ operator delete[](void *p, std::size_t) noexcept
 namespace {
 
 using namespace dadu;
+using dadu::linalg::MatrixX;
 using dadu::linalg::VectorX;
 using dadu::model::RobotModel;
 using dadu::tests::expectBitwiseEqual;
+
+/**
+ * Revolute base, spherical shoulder, revolute elbow, spherical wrist
+ * (nv = 8, two quaternion joints). No stock builder has a spherical
+ * joint, so this is the robot that exercises their manifold patches.
+ */
+RobotModel
+makeBallJointArm()
+{
+    using model::JointType;
+    using spatial::SpatialInertia;
+    using spatial::SpatialTransform;
+    auto limb = [](double m, double len) {
+        linalg::Mat3 i;
+        i(0, 0) = m * len * len / 12.0;
+        i(1, 1) = i(0, 0);
+        i(2, 2) = 0.01 * m;
+        return SpatialInertia::fromComInertia(
+            m, linalg::Vec3{0, 0, 0.5 * len}, i);
+    };
+    auto up = [](double z) {
+        return SpatialTransform::translation(linalg::Vec3{0, 0, z});
+    };
+    RobotModel robot("ball-arm");
+    int id = robot.addLink("base", -1, JointType::RevoluteZ, up(0.1),
+                           limb(3.0, 0.2));
+    id = robot.addLink("shoulder", id, JointType::Spherical, up(0.2),
+                       limb(2.0, 0.35));
+    id = robot.addLink("elbow", id, JointType::RevoluteY, up(0.35),
+                       limb(1.5, 0.3));
+    robot.addLink("wrist", id, JointType::Spherical, up(0.3),
+                  limb(0.5, 0.1));
+    return robot;
+}
 
 // ---------------------------------------------------------------------
 // Manifold difference
@@ -257,6 +303,423 @@ TEST(Ilqr, SolveLoopIsAllocationFreeInSteadyState)
         g_count_allocs.store(false);
         EXPECT_EQ(g_alloc_count.load(), 0)
             << c.label << ": steady-state solve loop allocated";
+    }
+}
+
+// ---------------------------------------------------------------------
+// Structured Riccati step vs the dense oracle
+// ---------------------------------------------------------------------
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** Count of entries whose bit patterns differ (sizes must match). */
+long
+bitMismatches(const VectorX &a, const VectorX &b)
+{
+    EXPECT_EQ(a.size(), b.size());
+    long bad = 0;
+    for (std::size_t i = 0; i < a.size() && i < b.size(); ++i)
+        bad += !sameBits(a[i], b[i]);
+    return bad;
+}
+
+long
+bitMismatches(const MatrixX &a, const MatrixX &b)
+{
+    EXPECT_EQ(a.rows(), b.rows());
+    EXPECT_EQ(a.cols(), b.cols());
+    long bad = 0;
+    for (std::size_t r = 0; r < a.rows() && r < b.rows(); ++r)
+        for (std::size_t c = 0; c < a.cols() && c < b.cols(); ++c)
+            bad += !sameBits(a(r, c), b(r, c));
+    return bad;
+}
+
+linalg::Mat3
+oracleRightJacobian(const linalg::Vec3 &theta)
+{
+    const double t2 = theta.dot(theta);
+    double c1, c2;
+    if (t2 < 1e-12) {
+        c1 = 0.5 - t2 / 24.0;
+        c2 = 1.0 / 6.0 - t2 / 120.0;
+    } else {
+        const double t = std::sqrt(t2);
+        c1 = (1.0 - std::cos(t)) / t2;
+        c2 = (t - std::sin(t)) / (t2 * t);
+    }
+    const linalg::Mat3 k = linalg::skew(theta);
+    const linalg::Mat3 k2 = k * k;
+    linalg::Mat3 jr = linalg::Mat3::identity();
+    for (int i = 0; i < 3; ++i)
+        for (int j = 0; j < 3; ++j)
+            jr(i, j) += -c1 * k(i, j) + c2 * k2(i, j);
+    return jr;
+}
+
+/**
+ * The dense MatrixX formulation of one Riccati knot that
+ * ctrl::RiccatiSweep replaced: full 2nv x 2nv A and 2nv x nv B, the
+ * zero-skipping MatrixX products, and a column-by-column gain solve.
+ * Vx/Vxx are V' on entry and V on a true return.
+ */
+bool
+denseRiccatiStep(const RobotModel &robot, double h,
+                 const ctrl::RiccatiKnot &knot, VectorX &Vx, MatrixX &Vxx,
+                 VectorX &kff, MatrixX &K, ctrl::RiccatiTerms &terms)
+{
+    const int n = robot.nv();
+    const int nx = 2 * n;
+    MatrixX A(nx, nx), B(nx, n), VA, VB, Qxx, Qux, Quu, QuuK, KQux;
+    MatrixX rhs(n, 1 + nx);
+    VectorX Qx, Qu, tmpu, tmpx;
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            A(i, j) = i == j ? 1.0 : 0.0;
+            A(i, n + j) = i == j ? h : 0.0;
+            A(n + i, j) = h * knot.fq(i, j);
+            A(n + i, n + j) = (i == j ? 1.0 : 0.0) + h * knot.fqd(i, j);
+            B(i, j) = 0.0;
+            B(n + i, j) = h * knot.minv(i, j);
+        }
+    }
+    for (int b = 0; b < robot.nb(); ++b) {
+        const auto &link = robot.link(b);
+        if (link.joint != model::JointType::Spherical &&
+            link.joint != model::JointType::Floating)
+            continue;
+        const int vi = link.vIndex;
+        const VectorX &v = knot.qd;
+        const linalg::Vec3 homega{h * v[vi], h * v[vi + 1], h * v[vi + 2]};
+        const linalg::Mat3 eht = model::Quaternion::identity()
+                                     .integrated(homega)
+                                     .toRotation()
+                                     .transpose();
+        const linalg::Mat3 hjr = oracleRightJacobian(homega) * h;
+        for (int i = 0; i < 3; ++i) {
+            for (int j = 0; j < 3; ++j) {
+                A(vi + i, vi + j) = eht(i, j);
+                A(vi + i, n + vi + j) = hjr(i, j);
+            }
+        }
+        if (link.joint == model::JointType::Floating) {
+            const linalg::Vec3 vlin{v[vi + 3], v[vi + 4], v[vi + 5]};
+            const linalg::Mat3 dp_dphi = eht * linalg::skew(vlin) * (-h);
+            for (int i = 0; i < 3; ++i) {
+                for (int j = 0; j < 3; ++j) {
+                    A(vi + 3 + i, vi + j) = dp_dphi(i, j);
+                    A(vi + 3 + i, vi + 3 + j) = eht(i, j);
+                    A(vi + 3 + i, n + vi + 3 + j) = h * eht(i, j);
+                }
+            }
+        }
+    }
+
+    A.transposeMultiplyInto(Vx, Qx);
+    for (int j = 0; j < nx; ++j)
+        Qx[j] += knot.lx[j];
+    B.transposeMultiplyInto(Vx, Qu);
+    for (int j = 0; j < n; ++j)
+        Qu[j] += knot.lu[j];
+    terms.qu_max = Qu.maxAbs();
+
+    Vxx.multiplyInto(A, VA);
+    A.transposeMultiplyInto(VA, Qxx);
+    for (int j = 0; j < n; ++j) {
+        Qxx(j, j) += knot.wq;
+        Qxx(n + j, n + j) += knot.wqd;
+    }
+    B.transposeMultiplyInto(VA, Qux);
+    Vxx.multiplyInto(B, VB);
+    B.transposeMultiplyInto(VB, Quu);
+    for (int j = 0; j < n; ++j)
+        Quu(j, j) += knot.quu_diag;
+
+    for (int i = 0; i < n; ++i) {
+        rhs(i, 0) = -Qu[i];
+        for (int j = 0; j < nx; ++j)
+            rhs(i, 1 + j) = -Qux(i, j);
+    }
+    if (n <= linalg::SmallLdlt::kMaxDim) {
+        linalg::SmallLdlt small;
+        if (!small.compute(Quu))
+            return false;
+        for (int i = 0; i < n; ++i)
+            if (small.pivot(i) <= 0.0)
+                return false;
+        double col[linalg::SmallLdlt::kMaxDim];
+        for (int c = 0; c < 1 + nx; ++c) {
+            for (int i = 0; i < n; ++i)
+                col[i] = rhs(i, c);
+            small.solveInPlace(col);
+            for (int i = 0; i < n; ++i)
+                rhs(i, c) = col[i];
+        }
+    } else {
+        linalg::Ldlt ldlt;
+        if (!ldlt.compute(Quu))
+            return false;
+        for (int i = 0; i < n; ++i)
+            if (ldlt.vectorD()[i] <= 0.0)
+                return false;
+        for (int c = 0; c < 1 + nx; ++c) {
+            VectorX col = rhs.col(c);
+            ldlt.solveInPlace(col);
+            rhs.setCol(c, col);
+        }
+    }
+    for (int i = 0; i < n; ++i) {
+        kff[i] = rhs(i, 0);
+        for (int j = 0; j < nx; ++j)
+            K(i, j) = rhs(i, 1 + j);
+    }
+
+    Quu.multiplyInto(kff, tmpu);
+    const double k_quu_k = kff.dot(tmpu);
+    if (k_quu_k < 0.0)
+        return false;
+    terms.kff_qu = kff.dot(Qu);
+    terms.kff_quu_kff = k_quu_k;
+
+    for (int i = 0; i < n; ++i)
+        tmpu[i] += Qu[i];
+    K.transposeMultiplyInto(tmpu, tmpx);
+    Vx = Qx;
+    for (int j = 0; j < nx; ++j)
+        Vx[j] += tmpx[j];
+    Qux.transposeMultiplyInto(kff, tmpx);
+    for (int j = 0; j < nx; ++j)
+        Vx[j] += tmpx[j];
+
+    Quu.multiplyInto(K, QuuK);
+    K.transposeMultiplyInto(QuuK, Vxx);
+    K.transposeMultiplyInto(Qux, KQux);
+    for (int i = 0; i < nx; ++i)
+        for (int j = 0; j < nx; ++j)
+            Vxx(i, j) += Qxx(i, j) + KQux(i, j) + KQux(j, i);
+    for (int i = 0; i < nx; ++i) {
+        for (int j = i + 1; j < nx; ++j) {
+            const double s = 0.5 * (Vxx(i, j) + Vxx(j, i));
+            Vxx(i, j) = s;
+            Vxx(j, i) = s;
+        }
+    }
+    return true;
+}
+
+/** Random n x m matrix in [-scale, scale] with exact ±0 entries mixed
+ *  in (one in six each), as sparse Jacobian columns produce. */
+MatrixX
+randomWithZeros(std::size_t n, std::size_t m, double scale,
+                std::mt19937 &rng)
+{
+    std::uniform_real_distribution<double> d(-scale, scale);
+    std::uniform_int_distribution<int> pick(0, 5);
+    MatrixX a(n, m);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < m; ++j) {
+            const int p = pick(rng);
+            a(i, j) = p == 0 ? 0.0 : p == 1 ? -0.0 : d(rng);
+        }
+    return a;
+}
+
+TEST(Riccati, StructuredStepBitwiseEqualsDenseOracle)
+{
+    struct Case
+    {
+        RobotModel robot;
+        const char *label;
+    };
+    const Case cases[] = {
+        {model::makeSerialChain(4), "serial4 (SmallLdlt)"},
+        {model::makeIiwa(), "iiwa (nv 7)"},
+        {model::makeHyq(), "hyq (nv 18, floating)"},
+        {model::makeAtlas(), "atlas (nv 36, floating)"},
+        {makeBallJointArm(), "ball-arm (nv 8, spherical)"},
+    };
+    const double h = 0.02;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.label);
+        const RobotModel &robot = c.robot;
+        const int n = robot.nv();
+        const int nx = 2 * n;
+        std::mt19937 rng(1234 + n);
+        std::uniform_real_distribution<double> d(-1.0, 1.0);
+
+        ctrl::RiccatiSweep sweep(robot, h);
+        // Terminal-like V': SPD Hessian G·Gᵀ + I, random gradient.
+        const MatrixX g = randomWithZeros(nx, nx, 1.0, rng);
+        MatrixX Vxx = g * g.transpose();
+        for (int i = 0; i < nx; ++i)
+            Vxx(i, i) += 1.0;
+        VectorX Vx(nx);
+        for (int i = 0; i < nx; ++i)
+            Vx[i] = d(rng);
+        sweep.vx() = Vx;
+        sweep.vxx() = Vxx;
+
+        // Several knots in a row: each step's V feeds the next, as in
+        // the sweep. Velocities large enough that h·ω is past the
+        // Taylor guard of the right Jacobian on some knots.
+        int steps_ok = 0;
+        for (int knot_i = 0; knot_i < 4; ++knot_i) {
+            const MatrixX fq = randomWithZeros(n, n, 20.0, rng);
+            const MatrixX fqd = randomWithZeros(n, n, 5.0, rng);
+            const MatrixX minv = randomWithZeros(n, n, 2.0, rng);
+            VectorX qd(n), lx(nx), lu(n);
+            for (int i = 0; i < n; ++i)
+                qd[i] = (knot_i == 0 ? 1e-6 : 3.0) * d(rng);
+            for (int i = 0; i < nx; ++i)
+                lx[i] = d(rng);
+            for (int i = 0; i < n; ++i)
+                lu[i] = 1e-3 * d(rng);
+            const ctrl::RiccatiKnot knot{fq, fqd, minv, qd, lx, lu,
+                                         2.0, 0.1, 1e-4 + 1e-6};
+
+            VectorX kff(n), kff_ref(n);
+            MatrixX K(n, nx), K_ref(n, nx);
+            ctrl::RiccatiTerms t, t_ref;
+            const bool ok = sweep.step(knot, kff, K, t);
+            const bool ok_ref =
+                denseRiccatiStep(robot, h, knot, Vx, Vxx, kff_ref, K_ref,
+                                 t_ref);
+            SCOPED_TRACE(knot_i);
+            ASSERT_EQ(ok, ok_ref);
+            EXPECT_TRUE(sameBits(t.qu_max, t_ref.qu_max));
+            if (!ok)
+                break;
+            ++steps_ok;
+            EXPECT_TRUE(sameBits(t.kff_qu, t_ref.kff_qu));
+            EXPECT_TRUE(sameBits(t.kff_quu_kff, t_ref.kff_quu_kff));
+            EXPECT_EQ(bitMismatches(kff, kff_ref), 0);
+            EXPECT_EQ(bitMismatches(K, K_ref), 0);
+            EXPECT_EQ(bitMismatches(sweep.vx(), Vx), 0);
+            EXPECT_EQ(bitMismatches(sweep.vxx(), Vxx), 0);
+        }
+        EXPECT_GE(steps_ok, 2);
+    }
+}
+
+TEST(Ilqr, ReachingSolveConvergesOnSphericalJoints)
+{
+    const RobotModel robot = makeBallJointArm();
+    ASSERT_EQ(robot.nv(), 8);
+    runtime::CpuBatchedBackend backend(robot, 2);
+    const ctrl::Scenario sc = ctrl::makeReachingScenario(robot);
+    ctrl::IlqrSolver solver(robot, sc.problem);
+    const ctrl::IlqrSummary sum = solver.solve(backend, sc.q0, sc.qd0);
+    EXPECT_TRUE(sum.converged);
+    EXPECT_FALSE(solver.stalled());
+    EXPECT_LT(sum.cost, sum.initial_cost);
+    const std::vector<double> &trace = solver.costTrace();
+    ASSERT_GE(trace.size(), 2u);
+    for (std::size_t i = 1; i < trace.size(); ++i)
+        EXPECT_LE(trace[i], trace[i - 1]);
+}
+
+// ---------------------------------------------------------------------
+// Non-finite input
+// ---------------------------------------------------------------------
+
+/** Direct channel that poisons one knot's ∂q̈/∂q in every ∆FD batch. */
+class NanJacobianChannel : public ctrl::DynamicsChannel
+{
+  public:
+    NanJacobianChannel(runtime::DynamicsBackend &backend, int knot)
+        : backend_(backend), knot_(knot)
+    {}
+
+    void
+    run(runtime::FunctionType fn, runtime::DynamicsRequest *requests,
+        std::size_t count, runtime::DynamicsResult *results) override
+    {
+        backend_.submit(fn, requests, count, results);
+        if (fn == runtime::FunctionType::DeltaFD &&
+            static_cast<std::size_t>(knot_) < count)
+            results[knot_].dqdd_dq(0, 0) =
+                std::numeric_limits<double>::quiet_NaN();
+    }
+
+  private:
+    runtime::DynamicsBackend &backend_;
+    int knot_;
+};
+
+bool
+allFinite(const VectorX &v)
+{
+    for (std::size_t i = 0; i < v.size(); ++i)
+        if (!std::isfinite(v[i]))
+            return false;
+    return true;
+}
+
+TEST(Ilqr, NanJacobianEndsInExplicitOutcome)
+{
+    // Both Riccati paths: SmallLdlt (nv 4) and Ldlt (HyQ, nv 18).
+    for (const RobotModel &robot :
+         {model::makeSerialChain(4), model::makeHyq()}) {
+        SCOPED_TRACE(robot.name());
+        runtime::CpuBatchedBackend backend(robot, 2);
+        NanJacobianChannel channel(backend, 7);
+        const ctrl::Scenario sc = ctrl::makeReachingScenario(robot);
+        ctrl::IlqrSolver solver(robot, sc.problem);
+
+        solver.reset(sc.q0, sc.qd0);
+        const double cost0 = solver.rolloutNominal(channel);
+        ASSERT_TRUE(std::isfinite(cost0));
+        EXPECT_FALSE(solver.iterate(channel));
+        EXPECT_EQ(solver.cost(), cost0);
+        for (int k = 0; k <= solver.knots(); ++k) {
+            EXPECT_TRUE(allFinite(solver.q(k))) << "knot " << k;
+            EXPECT_TRUE(allFinite(solver.qd(k))) << "knot " << k;
+        }
+        for (int k = 0; k < solver.knots(); ++k)
+            EXPECT_TRUE(allFinite(solver.u(k))) << "knot " << k;
+
+        solver.reset(sc.q0, sc.qd0);
+        const ctrl::IlqrSummary sum = solver.solve(channel, sc.q0, sc.qd0);
+        EXPECT_FALSE(sum.converged);
+        EXPECT_TRUE(solver.stalled() ||
+                    sum.iterations == solver.options().max_iterations);
+        EXPECT_EQ(sum.cost, sum.initial_cost);
+        EXPECT_EQ(solver.costTrace().size(), 1u);
+    }
+}
+
+TEST(Ilqr, NanInitialStateEndsInExplicitOutcome)
+{
+    for (const RobotModel &robot :
+         {model::makeSerialChain(4), model::makeHyq()}) {
+        SCOPED_TRACE(robot.name());
+        runtime::CpuBatchedBackend backend(robot, 2);
+        ctrl::BackendChannel channel(backend);
+        const ctrl::Scenario sc = ctrl::makeReachingScenario(robot);
+        ctrl::IlqrSolver solver(robot, sc.problem);
+        VectorX qd0 = sc.qd0;
+        qd0[0] = std::numeric_limits<double>::quiet_NaN();
+
+        solver.reset(sc.q0, qd0);
+        solver.rolloutNominal(channel);
+        EXPECT_FALSE(solver.iterate(channel));
+        // The controls are what the solver owns: a rejected iteration
+        // must leave them finite even though the states are not.
+        for (int k = 0; k < solver.knots(); ++k)
+            EXPECT_TRUE(allFinite(solver.u(k))) << "knot " << k;
+
+        solver.reset(sc.q0, qd0);
+        const ctrl::IlqrSummary sum = solver.solve(channel, sc.q0, qd0);
+        EXPECT_FALSE(sum.converged);
+        EXPECT_TRUE(solver.stalled() ||
+                    sum.iterations == solver.options().max_iterations);
+        EXPECT_EQ(solver.costTrace().size(), 1u);
+        for (int k = 0; k < solver.knots(); ++k)
+            EXPECT_TRUE(allFinite(solver.u(k))) << "knot " << k;
     }
 }
 

@@ -1,13 +1,18 @@
 /**
  * @file
- * Unit tests for the fixed-size and dynamic linear algebra types.
+ * Unit tests for the fixed-size and dynamic linear algebra types,
+ * the factorizations, and the register-tiled products of gemm.h
+ * (bitwise parity with the MatrixX products they stand in for).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 
 #include "linalg/factorize.h"
+#include "linalg/gemm.h"
 #include "linalg/mat.h"
 #include "linalg/matrixx.h"
 #include "linalg/vec.h"
@@ -278,6 +283,136 @@ TEST(Factorize, TriangularSolves)
     EXPECT_LT((l * x - b).maxAbs(), 1e-12);
     const VectorX y = solveLowerTriangularTransposed(l, b);
     EXPECT_LT((l.transpose() * y - b).maxAbs(), 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// Tiled products and the multi-RHS substitution: bitwise parity
+// ---------------------------------------------------------------------
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** Uniform values in [-1, 1] with exact +0.0 and -0.0 mixed in (a
+ *  fifth each): the zero-skip of the MatrixX products must not show. */
+std::vector<double>
+randomWithZeros(std::size_t count, unsigned seed)
+{
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> d(-1.0, 1.0);
+    std::uniform_int_distribution<int> pick(0, 4);
+    std::vector<double> v(count);
+    for (double &x : v) {
+        const int p = pick(rng);
+        x = p == 0 ? 0.0 : p == 1 ? -0.0 : d(rng);
+    }
+    return v;
+}
+
+TEST(Gemm, TiledProductsBitwiseEqualMatrixXProducts)
+{
+    // Every M, N, K in 1..37 hits every edge-tile shape (rows and
+    // columns mod 4) at every reduction length. Operands are blocks
+    // of 37-wide storage, so the strides differ from the widths.
+    constexpr int kMax = 37;
+    const std::vector<double> a = randomWithZeros(kMax * kMax, 1);
+    const std::vector<double> b = randomWithZeros(kMax * kMax, 2);
+    std::vector<double> c(kMax * kMax);
+    long mismatches = 0;
+    for (int m = 1; m <= kMax; ++m) {
+        for (int n = 1; n <= kMax; ++n) {
+            for (int k = 1; k <= kMax; ++k) {
+                MatrixX am(m, k), atm(k, m), bm(k, n), ref;
+                for (int i = 0; i < m; ++i)
+                    for (int p = 0; p < k; ++p)
+                        am(i, p) = a[i * kMax + p];
+                for (int p = 0; p < k; ++p)
+                    for (int i = 0; i < m; ++i)
+                        atm(p, i) = a[p * kMax + i];
+                for (int p = 0; p < k; ++p)
+                    for (int j = 0; j < n; ++j)
+                        bm(p, j) = b[p * kMax + j];
+
+                am.multiplyInto(bm, ref);
+                std::fill(c.begin(), c.end(), 0.0);
+                gemmAccumulate(m, n, k, a.data(), kMax, b.data(), kMax,
+                               c.data(), kMax);
+                for (int i = 0; i < m; ++i)
+                    for (int j = 0; j < n; ++j)
+                        mismatches += !sameBits(c[i * kMax + j], ref(i, j));
+
+                atm.transposeMultiplyInto(bm, ref);
+                std::fill(c.begin(), c.end(), 0.0);
+                gemmTransAccumulate(m, n, k, a.data(), kMax, b.data(), kMax,
+                                    c.data(), kMax);
+                for (int i = 0; i < m; ++i)
+                    for (int j = 0; j < n; ++j)
+                        mismatches += !sameBits(c[i * kMax + j], ref(i, j));
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Gemm, AccumulatesOntoCInAscendingOrder)
+{
+    // C += A·B continues each element's sum from its current value,
+    // one product at a time: the contract the Riccati sweep relies on
+    // when it adds A's dense bottom rows after its top-row pattern.
+    constexpr int kMax = 9;
+    const std::vector<double> a = randomWithZeros(kMax * kMax, 3);
+    const std::vector<double> b = randomWithZeros(kMax * kMax, 4);
+    const std::vector<double> c0 = randomWithZeros(kMax * kMax, 5);
+    for (int m = 1; m <= kMax; ++m) {
+        for (int n = 1; n <= kMax; ++n) {
+            for (int k = 1; k <= kMax; ++k) {
+                std::vector<double> c = c0, ct = c0;
+                gemmAccumulate(m, n, k, a.data(), kMax, b.data(), kMax,
+                               c.data(), kMax);
+                gemmTransAccumulate(m, n, k, a.data(), kMax, b.data(), kMax,
+                                    ct.data(), kMax);
+                for (int i = 0; i < m; ++i) {
+                    for (int j = 0; j < n; ++j) {
+                        double s = c0[i * kMax + j], st = s;
+                        for (int p = 0; p < k; ++p) {
+                            s += a[i * kMax + p] * b[p * kMax + j];
+                            st += a[p * kMax + i] * b[p * kMax + j];
+                        }
+                        ASSERT_TRUE(sameBits(c[i * kMax + j], s))
+                            << m << "x" << n << "x" << k;
+                        ASSERT_TRUE(sameBits(ct[i * kMax + j], st))
+                            << m << "x" << n << "x" << k;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Ldlt, MultiRhsSolveBitwiseEqualsColumnByColumn)
+{
+    for (int n : {1, 2, 3, 6, 7, 18, 36}) {
+        const Ldlt ldlt(randomSpd(n, 31 + n));
+        for (int cols : {1, 4, 5, 37}) {
+            const std::vector<double> v = randomWithZeros(
+                static_cast<std::size_t>(n * cols), 17 + n * cols);
+            MatrixX x(n, cols);
+            for (int i = 0; i < n; ++i)
+                for (int c = 0; c < cols; ++c)
+                    x(i, c) = v[i * cols + c];
+            const MatrixX b = x;
+            ldlt.solveInPlace(x);
+            for (int c = 0; c < cols; ++c) {
+                VectorX col = b.col(c);
+                ldlt.solveInPlace(col);
+                for (int i = 0; i < n; ++i)
+                    ASSERT_TRUE(sameBits(x(i, c), col[i]))
+                        << "n " << n << ", column " << c << " of " << cols;
+            }
+        }
+    }
 }
 
 } // namespace

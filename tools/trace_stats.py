@@ -6,6 +6,10 @@ TraceStreamer and prints:
 
   - per-track (lane / control / client ring) utilization: summed
     ExecBegin..ExecEnd span time over the track's active window;
+  - per client track (one that records MPC `tick` spans): the share
+    of tick time spent in `ilqr_iter` spans and in the `riccati`
+    (iLQR backward sweep) spans nested inside them, and the riccati
+    time per tick;
   - scheduler action counts: coalesce, steal, retry, requeue, fault,
     lane-death instants per track;
   - the top-10 slowest completed jobs by end-to-end latency (the
@@ -45,7 +49,9 @@ def main():
 
     names = {}          # tid -> track name
     spans = defaultdict(float)    # tid -> summed B..E duration (us)
-    open_begin = {}     # tid -> stack of B timestamps
+    open_begin = {}     # tid -> stack of (span name, B timestamp)
+    named = defaultdict(lambda: defaultdict(float))  # tid -> name -> us
+    named_n = defaultdict(lambda: defaultdict(int))  # tid -> name -> n
     window = {}         # tid -> [min ts, max ts]
     actions = defaultdict(lambda: defaultdict(int))  # tid -> name -> n
     completed = []      # (e2e_us, job, ts)
@@ -65,13 +71,18 @@ def main():
         lo, hi = window.get(tid, (ts, ts))
         window[tid] = (min(lo, ts), max(hi, ts))
         if ph == "B":
-            # Spans nest (tick > ilqr_iter); only the outermost one
-            # counts toward busy time or utilization double-counts.
-            open_begin.setdefault(tid, []).append(ts)
+            # Spans nest (tick > ilqr_iter > riccati); only the
+            # outermost one counts toward busy time or utilization
+            # double-counts.
+            open_begin.setdefault(tid, []).append((e.get("name"), ts))
         elif ph == "E":
             stack = open_begin.get(tid)
-            if stack:
-                start = stack.pop()
+            # A drop-oldest ring can keep an E whose B was overwritten:
+            # only an E that closes the innermost open span counts.
+            if stack and stack[-1][0] == e.get("name"):
+                name, start = stack.pop()
+                named[tid][name] += ts - start
+                named_n[tid][name] += 1
                 if not stack:
                     spans[tid] += ts - start
         elif ph == "i":
@@ -98,6 +109,17 @@ def main():
                            for k, v in sorted(acts.items())) or "-"
         print(f"{names.get(tid, tid):<12} {span / 1e3:>10.2f} "
               f"{busy / 1e3:>9.2f} {util:>5.1%}  {act_str}")
+
+    clients = [tid for tid in sorted(named) if named[tid].get("tick")]
+    if clients:
+        print(f"\n{'client':<12} {'ticks':>6} {'tick(ms)':>9} "
+              f"{'ilqr_iter':>9} {'riccati':>8} {'riccati/tick(us)':>17}")
+    for tid in clients:
+        tick_us, ticks = named[tid]["tick"], named_n[tid]["tick"]
+        print(f"{names.get(tid, tid):<12} {ticks:>6} {tick_us / 1e3:>9.2f} "
+              f"{named[tid]['ilqr_iter'] / tick_us:>9.1%} "
+              f"{named[tid]['riccati'] / tick_us:>8.1%} "
+              f"{named[tid]['riccati'] / ticks:>17.1f}")
 
     total_actions = defaultdict(int)
     for per in actions.values():
