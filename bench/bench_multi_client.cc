@@ -20,7 +20,13 @@
  *     accumulated backend time (the serving makespan).
  *
  * All times are modeled accelerator time; their JSON keys carry the
- * _model suffix.
+ * _model suffix. Scenario 1 and the 1-shard row of scenario 2 are
+ * deterministic (flat_* and server_1shard_* repeat bit for bit). The
+ * 2- and 4-shard rows of scenario 2 depend on timing: the clients
+ * run on their own threads, so which lane each job lands on depends
+ * on the lane loads at the instant it is submitted
+ * (server_{2,4}shard_* and server_scale_* move a few percent run to
+ * run).
  *
  * Every accelerator instance past the first is a clone() of the one
  * fitted bitstream — no re-fit, no SAP recompilation — mirroring how

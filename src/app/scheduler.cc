@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "runtime/sched/admission.h"
-
 namespace dadu::app {
 
 double
@@ -29,16 +27,6 @@ scheduleShardedUs(int points, int stages, int shards, double ii_cycles,
     const int per_shard = (points + shards - 1) / shards;
     return scheduleSerialStagesUs(per_shard, stages, ii_cycles,
                                   latency_cycles, freq_mhz);
-}
-
-double
-predictedAdmissionUs(double queued_weight, int points, int stages,
-                     double task_us, double latency_us, double fn_weight)
-{
-    // Canonical definition lives with the admission policies that
-    // consume it; this alias keeps the original app-layer callers.
-    return runtime::sched::predictedAdmissionUs(
-        queued_weight, points, stages, task_us, latency_us, fn_weight);
 }
 
 } // namespace dadu::app

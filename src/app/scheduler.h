@@ -48,27 +48,6 @@ double scheduleShardedUs(int points, int stages, int shards,
                          double ii_cycles, double latency_cycles,
                          double freq_mhz);
 
-/**
- * Closed-form predicted makespan (µs, backend time) of admitting a
- * @p points x @p stages job to a lane already owing
- * @p queued_weight FD-equivalent tasks — the number an EDF admission
- * path turns into an absolute deadline (deadline = now + slack x
- * prediction) before tagging the job.
- *
- * @p task_us is the backend's mean per-task interval in
- * FD-equivalents (measured latency_us / sched::functionWeight(fn),
- * or ii_cycles / freq for modeled backends); @p fn_weight scales it
- * to the submitted function; @p latency_us is the per-batch pipeline
- * fill paid once per stage. The queued work drains first (its
- * batch latencies are already sunk), then the job streams:
- *
- *   queued_weight·task_us + stages·(points·task_us·fn_weight
- *                                   + latency_us)
- */
-double predictedAdmissionUs(double queued_weight, int points, int stages,
-                            double task_us, double latency_us,
-                            double fn_weight);
-
 } // namespace dadu::app
 
 #endif // DADU_APP_SCHEDULER_H

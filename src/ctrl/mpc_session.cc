@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "algorithms/col_gating.h"
-#include "app/scheduler.h"
 #include "perf/timing.h"
+#include "runtime/sched/admission.h"
 #include "runtime/sched/policy.h"
 
 namespace dadu::ctrl {
@@ -67,14 +67,14 @@ MpcSession::ServerChannel::run(FunctionType fn,
             queued = std::min(queued, srv.laneLoadWeight(l));
         tag.deadline_us =
             t0 + s.cfg_.deadline_slack *
-                     app::predictedAdmissionUs(
+                     runtime::sched::predictedAdmissionUs(
                          queued, static_cast<int>(count), 1,
                          s.task_us_, 0.0, fn_weight);
     }
 
     int job;
     int lanes_used = 1;
-    if (count > 1 && s.cfg_.shard_batches && srv.backendCount() > 1) {
+    if (count > 1 && srv.backendCount() > 1) {
         job = srv.submitSharded(fn, requests, count, results, tag);
         lanes_used = srv.backendCount();
     } else {
@@ -170,8 +170,7 @@ MpcSession::tick(runtime::DynamicsServer &server, const VectorX &q,
         u_prev_[k] = solver_.u(k);
     solver_.setInitialState(q, qd);
     solver_.rolloutNominal(channel_);
-    for (int i = 0;
-         i < cfg_.iterations_per_tick && !channel_.tick_failed; ++i)
+    if (!channel_.tick_failed)
         solver_.iterate(channel_);
     ++stats_.ticks;
     if (channel_.tick_failed) {

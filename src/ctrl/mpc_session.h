@@ -4,8 +4,8 @@
  *
  * One MpcSession is one closed-loop MPC client: per control tick it
  * re-anchors its iLQR solver at the measured state, warm-starts by
- * shifting the previous solution one knot, and runs a fixed number
- * of solver iterations whose dynamics requests all flow through a
+ * shifting the previous solution one knot, and runs one solver
+ * iteration whose dynamics requests all flow through a
  * DynamicsServer — the horizon-wide ∆FD linearization as a sharded
  * (or least-loaded) flat batch, the rollout FD evaluations as small
  * flat jobs that the server's coalescer can merge across concurrent
@@ -13,7 +13,7 @@
  *
  * With deadline_slack > 0 the session becomes deadline-tagged
  * (EDF-schedulable) traffic: it predicts each job's makespan with
- * app::predictedAdmissionUs — per-task time calibrated from its own
+ * sched::predictedAdmissionUs — per-task time calibrated from its own
  * previous linearization batch, queued work read from the server's
  * lane loads — and tags the job with deadline = now + slack x
  * prediction. M concurrent sessions are the closed-loop serving
@@ -38,17 +38,11 @@ class MpcSession
   public:
     struct Config
     {
-        /** Solver iterations per control tick (receding horizon). */
-        int iterations_per_tick = 1;
-
         /**
          * > 0: tag every job with deadline = now + slack x predicted
          * makespan (EDF-schedulable traffic); 0 = untagged bulk.
          */
         double deadline_slack = 0.0;
-
-        /** Shard multi-point batches across all server lanes. */
-        bool shard_batches = true;
     };
 
     struct Stats
@@ -85,8 +79,8 @@ class MpcSession
 
     /**
      * One control tick from the measured state (@p q, @p qd):
-     * warm-start shift, nominal re-rollout, iterations_per_tick
-     * solver iterations — every dynamics request through @p server.
+     * warm-start shift, nominal re-rollout, one solver iteration —
+     * every dynamics request through @p server.
      * @return the first control of the re-optimized horizon.
      */
     const VectorX &tick(runtime::DynamicsServer &server,

@@ -134,10 +134,13 @@ void ChromeTraceWriter::event(const TraceEvent &ev, std::size_t tid)
                      shortFunctionName(ev.fn), ev.a, finiteOr(ev.b, -1.0));
     }
 
-    // Stitch the job's path across tracks with flow events.
+    // Stitch the job's path across tracks with flow events; every
+    // terminal event (completed, shed or failed) closes the flow.
+    const bool terminal = ev.kind == EventKind::Completed ||
+                          ev.kind == EventKind::Rejected ||
+                          ev.kind == EventKind::Failed;
     if (ev.job >= 0 && (ev.kind == EventKind::Submit ||
-                        ev.kind == EventKind::Picked ||
-                        ev.kind == EventKind::Completed))
+                        ev.kind == EventKind::Picked || terminal))
     {
         const char *fph = ev.kind == EventKind::Submit ? "s"
                           : ev.kind == EventKind::Picked ? "t"
@@ -146,8 +149,7 @@ void ChromeTraceWriter::event(const TraceEvent &ev, std::size_t tid)
         std::fprintf(f_,
                      "{\"ph\":\"%s\",\"pid\":0,\"tid\":%zu,\"ts\":%.3f,"
                      "\"name\":\"job\",\"cat\":\"job\",\"id\":%d%s}",
-                     fph, tid, ts, ev.job,
-                     ev.kind == EventKind::Completed ? ",\"bp\":\"e\"" : "");
+                     fph, tid, ts, ev.job, terminal ? ",\"bp\":\"e\"" : "");
     }
 }
 

@@ -57,7 +57,7 @@ enum class EventKind : std::uint8_t
     // Submit side (control ring).
     Submit,        ///< a = task count, b = deadline_us (inf ⇒ untagged)
     Admitted,      ///< a = chosen lane, b = predicted completion (µs, 0 if unknown)
-    Rejected,      ///< a = SubmitStatus, b = competing weight at decision
+    Rejected,      ///< a = JobOutcome, b = end-to-end latency (µs)
     Enqueued,      ///< lane = destination, a = task count, b = lane load_weight after
     // Serving side (lane rings).
     Picked,        ///< a = items in pick, b = queue positions overtaken (queue-jump depth)

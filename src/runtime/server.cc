@@ -193,52 +193,13 @@ DynamicsServer::pushWork(int lane, WorkItem item)
     }
 }
 
-int
-DynamicsServer::recordTerminalJob(Job job, JobOutcome outcome)
-{
-    // A job that ends at submission (shed, or no healthy lane) still
-    // gets a live record: wait() must return for it and jobOutcome()
-    // must say why — a shed job is never silent. It does not enter
-    // pending_jobs_ (nothing will complete it), the deadline buckets
-    // (it never ran), or stats_.jobs.
-    job.done = true;
-    job.outcome = outcome;
-    job.done_at_us = perf::nowUs();
-    if (outcome == JobOutcome::Rejected)
-        ++sched_stats_.rejected_jobs;
-    else
-        ++sched_stats_.failed_jobs;
-    const FunctionType fn = job.fn;
-    const std::size_t count = job.count;
-    const double deadline = job.deadline_us;
-    jobs_.push_back(std::move(job));
-    const int id = static_cast<int>(retire_base_ + jobs_.size()) - 1;
-    if (trace_) {
-        obs::TraceRing &ctl = trace_->control();
-        const double now = jobs_.back().done_at_us;
-        ctl.record(obs::EventKind::Submit, now, id, -1, fn,
-                   static_cast<std::uint32_t>(count), deadline);
-        ctl.record(outcome == JobOutcome::Rejected
-                       ? obs::EventKind::Rejected
-                       : obs::EventKind::Failed,
-                   now, id, -1, fn,
-                   static_cast<std::uint32_t>(outcome), deadline);
-    }
-    if (metrics_) {
-        metrics_->add(obs::Counter::JobsSubmitted);
-        metrics_->add(outcome == JobOutcome::Rejected
-                          ? obs::Counter::JobsRejected
-                          : obs::Counter::JobsFailed);
-    }
-    return id;
-}
-
 bool
-DynamicsServer::admitLocked(const Job &job, int lane, double now_us)
+DynamicsServer::admitLocked(const Job &job, std::size_t points, int lane,
+                            double now_us)
 {
     sched::AdmissionRequest req;
     req.fn = job.fn;
-    req.points = static_cast<int>(job.count);
+    req.points = static_cast<int>(points);
     req.stages = job.stages;
     req.priority = job.priority;
     req.deadline_us = job.deadline_us;
@@ -272,201 +233,16 @@ DynamicsServer::competingWeightLocked(const Job &job, int lane) const
 }
 
 int
-DynamicsServer::enqueueJob(Job job, int backend_id)
+DynamicsServer::waterFillLocked(std::size_t count, double w)
 {
-    // JobTag validation: a NaN deadline would poison every EDF
-    // comparison — treat it as untagged. A deadline in the past stays
-    // accepted (counted below as an immediate miss); shedding it
-    // would turn a late answer into none.
-    if (std::isnan(job.deadline_us))
-        job.deadline_us = sched::kNoDeadline;
-    const std::size_t count = job.count;
-    // A malformed mask is caught here rather than as the backend's
-    // InvalidRequest mid-serve: a deterministic Rejected outcome, no
-    // retry loop and no lane quarantine for what is a client error.
-    const bool masks_ok =
-        masksValid(job.fn, job.const_requests, count,
-                   batchNv(job.const_requests, count));
-    if (masks_ok) {
-        job.unit_weight =
-            batchUnitWeight(job.fn, job.const_requests, count);
-        job.mask_sig = maskSignature(job.fn, job.const_requests, count);
-    }
-    // A serial-stage job commits ALL its stages to the chosen lane;
-    // charge the full FD-equivalent debt so later placement
-    // decisions see it.
-    const double load =
-        static_cast<double>(count * job.stages) * job.unit_weight;
-    std::lock_guard<std::mutex> lock(mu_);
-    assert(backendCount() > 0);
-    assert(backend_id == kLeastLoaded ||
-           (backend_id >= 0 && backend_id < backendCount()));
-    if (!masks_ok)
-        return recordTerminalJob(std::move(job), JobOutcome::Rejected);
-    int lane = backend_id == kLeastLoaded ? leastLoadedLane() : backend_id;
-    if (lane >= 0 && !lanes_[lane].healthy)
-        lane = leastLoadedLane(); // explicit binding to a dead lane
-    if (lane < 0)
-        return recordTerminalJob(std::move(job), JobOutcome::Failed);
-    const double now = perf::nowUs();
-    if (admission_ && !admitLocked(job, lane, now))
-        return recordTerminalJob(std::move(job), JobOutcome::Rejected);
-    if (job.deadline_us != sched::kNoDeadline && job.deadline_us <= now)
-        ++sched_stats_.immediate_misses;
-    job.submit_at_us = now;
-    // Admission-model completion estimate for the calibration gauges:
-    // recorded per tagged job once the EWMA has its first sample, and
-    // compared against the actual completion time in completePicked.
-    if (metrics_ && job.deadline_us != sched::kNoDeadline &&
-        task_us_ewma_ > 0.0)
-        job.predicted_done_us =
-            now + sched::predictedAdmissionUs(
-                      competingWeightLocked(job, lane),
-                      static_cast<int>(count), job.stages, task_us_ewma_,
-                      0.0, job.unit_weight);
-    jobs_.push_back(std::move(job));
-    const int id =
-        static_cast<int>(retire_base_ + jobs_.size()) - 1;
-    ++pending_jobs_;
-    lanes_[lane].load_weight += load;
-    if (trace_) {
-        const Job &j = jobs_.back();
-        obs::TraceRing &ctl = trace_->control();
-        ctl.record(obs::EventKind::Submit, now, id, -1, j.fn,
-                   static_cast<std::uint32_t>(count), j.deadline_us);
-        ctl.record(obs::EventKind::Admitted, now, id, -1, j.fn,
-                   static_cast<std::uint32_t>(lane), j.predicted_done_us);
-        ctl.record(obs::EventKind::Enqueued, now, id,
-                   static_cast<std::int16_t>(lane), j.fn,
-                   static_cast<std::uint32_t>(count),
-                   lanes_[lane].load_weight);
-    }
-    if (metrics_)
-        metrics_->add(obs::Counter::JobsSubmitted);
-    pushWork(lane, WorkItem{id, 0, count});
-    return id;
-}
-
-int
-DynamicsServer::submit(FunctionType fn, const DynamicsRequest *requests,
-                       std::size_t count, DynamicsResult *results,
-                       int backend_id, sched::JobTag tag)
-{
-    Job job;
-    job.fn = fn;
-    job.const_requests = requests;
-    job.results = results;
-    job.count = count;
-    job.remaining = 1;
-    job.priority = tag.priority;
-    job.deadline_us = tag.deadline_us;
-    return enqueueJob(std::move(job), backend_id);
-}
-
-int
-DynamicsServer::submitSerialStages(FunctionType fn,
-                                   DynamicsRequest *requests,
-                                   std::size_t points, int stages,
-                                   AdvanceFn advance, void *ctx,
-                                   DynamicsResult *results, int backend_id,
-                                   sched::JobTag tag)
-{
-    assert(stages >= 1);
-    Job job;
-    job.fn = fn;
-    job.requests = requests;
-    job.const_requests = requests;
-    job.results = results;
-    job.count = points;
-    job.stages = stages;
-    job.advance = advance;
-    job.ctx = ctx;
-    job.remaining = 1;
-    job.priority = tag.priority;
-    job.deadline_us = tag.deadline_us;
-    return enqueueJob(std::move(job), backend_id);
-}
-
-int
-DynamicsServer::submitSharded(FunctionType fn,
-                              const DynamicsRequest *requests,
-                              std::size_t count, DynamicsResult *results,
-                              sched::JobTag tag)
-{
-    assert(backendCount() > 0);
-    if (backendCount() == 1 || count < 2)
-        return submit(fn, requests, count, results, kLeastLoaded, tag);
-
-    Job job;
-    job.fn = fn;
-    job.const_requests = requests;
-    job.results = results;
-    job.count = count;
-    job.sharded = true;
-    job.priority = tag.priority;
-    job.deadline_us =
-        std::isnan(tag.deadline_us) ? sched::kNoDeadline : tag.deadline_us;
-    const bool masks_ok =
-        masksValid(fn, requests, count, batchNv(requests, count));
-    if (masks_ok) {
-        job.unit_weight = batchUnitWeight(fn, requests, count);
-        job.mask_sig = maskSignature(fn, requests, count);
-    }
-
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!masks_ok)
-        return recordTerminalJob(std::move(job), JobOutcome::Rejected);
-    const int n_lanes = backendCount();
-    const int n_healthy = healthyLaneCount();
-    if (n_healthy == 0)
-        return recordTerminalJob(std::move(job), JobOutcome::Failed);
-    // One timestamp serves admission, the immediate-miss check, and
-    // the observability hooks; untagged-unobserved submits skip the
-    // clock read entirely (the pre-obs fast path).
-    const bool want_now = admission_ != nullptr ||
-                          job.deadline_us != sched::kNoDeadline ||
-                          trace_ != nullptr || metrics_ != nullptr;
-    const double now = want_now ? perf::nowUs() : 0.0;
-    const std::size_t slice = (count + n_healthy - 1) / n_healthy;
-    if (admission_) {
-        // Admission sees the per-lane slice a healthy lane would run,
-        // against the least-loaded healthy lane's queue.
-        Job probe = job;
-        probe.count = slice;
-        const int lane = leastLoadedLane();
-        if (!admitLocked(probe, lane, now))
-            return recordTerminalJob(std::move(job), JobOutcome::Rejected);
-    }
-    if (job.deadline_us != sched::kNoDeadline && job.deadline_us <= now)
-        ++sched_stats_.immediate_misses;
-    job.submit_at_us = now;
-    if (metrics_ && job.deadline_us != sched::kNoDeadline &&
-        task_us_ewma_ > 0.0)
-    {
-        // Completion estimate of a sharded tagged job: its slice on
-        // the healthy lane with the least competing weight (the
-        // shards run concurrently; the least-contended lane bounds
-        // the model's best case, matching the admission probe).
-        Job probe = job;
-        probe.count = slice;
-        double min_w = std::numeric_limits<double>::infinity();
-        for (int i = 0; i < n_lanes; ++i)
-            if (lanes_[i].healthy)
-                min_w = std::min(min_w,
-                                 competingWeightLocked(probe, i));
-        job.predicted_done_us =
-            now + sched::predictedAdmissionUs(
-                      min_w, static_cast<int>(slice), 1, task_us_ewma_,
-                      0.0, job.unit_weight);
-    }
-    const double w = job.unit_weight;
-
     // Least-loaded water-filling in FD-equivalent units: raise every
-    // lane's committed load toward one common level, spending exactly
-    // `count` tasks of weight w — lighter lanes absorb more of the
-    // batch, lanes already above the level get no shard. Levels are
-    // computed in this-function task units (load / w), the continuous
-    // level split back to integer tasks by largest remainder.
+    // healthy lane's committed load toward one common level, spending
+    // exactly `count` tasks of weight w — lighter lanes absorb more of
+    // the batch, lanes already above the level get no shard. Levels
+    // are computed in this-function task units (load / w), the
+    // continuous level split back to integer tasks by largest
+    // remainder. Quarantined lanes get no shard.
+    const int n_lanes = backendCount();
     if (order_scratch_.size() < static_cast<std::size_t>(n_lanes)) {
         order_scratch_.resize(n_lanes);
         share_scratch_.resize(n_lanes);
@@ -477,8 +253,6 @@ DynamicsServer::submitSharded(FunctionType fn,
     std::vector<std::size_t> &share = share_scratch_;
     std::vector<double> &eff = eff_scratch_;
     std::vector<double> &fshare = fshare_scratch_;
-    // Water-fill over the HEALTHY lanes only; quarantined lanes get
-    // no shard (share stays 0 and the push loop skips them).
     int n_fill = 0;
     for (int i = 0; i < n_lanes; ++i) {
         share[i] = 0;
@@ -487,6 +261,8 @@ DynamicsServer::submitSharded(FunctionType fn,
         if (lanes_[i].healthy)
             order[n_fill++] = i;
     }
+    if (n_fill == 0)
+        return 0;
     std::sort(order.begin(), order.begin() + n_fill,
               [&](std::size_t a, std::size_t b) {
                   return eff[a] < eff[b];
@@ -533,43 +309,264 @@ DynamicsServer::submitSharded(FunctionType fn,
         // Consumed its remainder: drop it behind untouched lanes.
         fshare[pick] = static_cast<double>(share[pick]) - 1.0;
     }
-
-    int shards = 0;
-    for (int i = 0; i < n_lanes; ++i)
-        shards += share[i] > 0 ? 1 : 0;
-    job.remaining = shards;
-
-    jobs_.push_back(std::move(job));
-    const int id =
-        static_cast<int>(retire_base_ + jobs_.size()) - 1;
-    ++pending_jobs_;
-    if (trace_) {
-        const Job &j = jobs_.back();
-        obs::TraceRing &ctl = trace_->control();
-        ctl.record(obs::EventKind::Submit, now, id, -1, j.fn,
-                   static_cast<std::uint32_t>(count), j.deadline_us);
-        ctl.record(obs::EventKind::Admitted, now, id, -1, j.fn,
-                   static_cast<std::uint32_t>(shards),
-                   j.predicted_done_us);
-    }
-    if (metrics_)
-        metrics_->add(obs::Counter::JobsSubmitted);
+    // Shards in lane order, contiguous slices of the batch.
+    placement_.clear();
     std::size_t begin = 0;
     for (int i = 0; i < n_lanes; ++i) {
         if (share[i] == 0)
             continue;
-        lanes_[i].load_weight += static_cast<double>(share[i]) * w;
-        if (trace_)
-            trace_->control().record(
-                obs::EventKind::Enqueued, now, id,
-                static_cast<std::int16_t>(i), jobs_.back().fn,
-                static_cast<std::uint32_t>(share[i]),
-                lanes_[i].load_weight);
-        pushWork(i, WorkItem{id, begin, share[i]});
+        placement_.push_back(Shard{i, begin, share[i]});
         begin += share[i];
     }
     assert(begin == count);
+    return static_cast<int>(placement_.size());
+}
+
+int
+DynamicsServer::placeLocked(std::size_t count, double w, int backend_id,
+                            bool spread)
+{
+    if (spread)
+        return waterFillLocked(count, w);
+    int lane = backend_id >= 0 ? backend_id : leastLoadedLane();
+    if (lane >= 0 && !lanes_[lane].healthy)
+        lane = leastLoadedLane(); // explicit binding to a dead lane
+    if (lane < 0)
+        return 0;
+    placement_.clear();
+    placement_.push_back(Shard{lane, 0, count});
+    return 1;
+}
+
+void
+DynamicsServer::finishLocked(int id, JobOutcome outcome, int lane)
+{
+    Job &job = jobRef(id);
+    assert(!job.done && outcome != JobOutcome::Pending);
+    job.done = true;
+    job.outcome = outcome;
+    job.done_at_us = perf::nowUs();
+    --pending_jobs_;
+    const bool tagged = job.deadline_us != sched::kNoDeadline;
+    const double e2e = job.done_at_us - job.submit_at_us;
+    obs::EventKind kind = obs::EventKind::Completed;
+    obs::Counter counter = obs::Counter::JobsCompleted;
+    std::uint32_t a = static_cast<std::uint32_t>(outcome);
+    if (outcome == JobOutcome::Completed) {
+        // Only work that ran to the end is served work: it alone
+        // enters stats_.jobs and, when tagged, one deadline bucket.
+        ++stats_.jobs;
+        if (tagged) {
+            job.missed = job.done_at_us > job.deadline_us;
+            ++(job.missed ? sched_stats_.deadline_misses
+                          : sched_stats_.deadline_met);
+        }
+        a = job.missed ? 1u : 0u;
+    } else if (outcome == JobOutcome::Rejected) {
+        ++sched_stats_.rejected_jobs;
+        kind = obs::EventKind::Rejected;
+        counter = obs::Counter::JobsRejected;
+    } else {
+        ++sched_stats_.failed_jobs;
+        kind = obs::EventKind::Failed;
+        counter = obs::Counter::JobsFailed;
+    }
+    if (trace_)
+        trace_->control().record(kind, job.done_at_us, id,
+                                 static_cast<std::int16_t>(lane), job.fn,
+                                 a, e2e);
+    if (metrics_) {
+        metrics_->add(counter);
+        if (outcome == JobOutcome::Completed) {
+            if (tagged)
+                metrics_->add(job.missed ? obs::Counter::DeadlineMissed
+                                         : obs::Counter::DeadlineMet);
+            if (job.first_pick_at_us > 0.0)
+                metrics_->histogram(job.fn, tagged, obs::LatKind::QueueWait)
+                    .record(job.first_pick_at_us - job.submit_at_us);
+            metrics_->histogram(job.fn, tagged, obs::LatKind::Service)
+                .record(job.busy_us);
+            metrics_->histogram(job.fn, tagged, obs::LatKind::EndToEnd)
+                .record(e2e);
+            if (job.predicted_done_us > 0.0) {
+                // Predicted-vs-actual admission error: the calibration
+                // signal of the admission model, relative to its own
+                // horizon.
+                const double err = job.done_at_us - job.predicted_done_us;
+                const double horizon = std::max(
+                    job.predicted_done_us - job.submit_at_us, 1.0);
+                metrics_->set(obs::Gauge::AdmissionLastErrUs, err);
+                metrics_->ewma(obs::Gauge::AdmissionErrRelEwma,
+                               std::abs(err) / horizon);
+                metrics_->add(obs::Counter::AdmissionSamples);
+            }
+        }
+    }
+    done_cv_.notify_all();
+}
+
+int
+DynamicsServer::enqueueJob(Job job, int backend_id)
+{
+    // JobTag validation: a NaN deadline would poison every EDF
+    // comparison — treat it as untagged. A deadline in the past stays
+    // accepted (counted below as an immediate miss); shedding it
+    // would turn a late answer into none.
+    if (std::isnan(job.deadline_us))
+        job.deadline_us = sched::kNoDeadline;
+    const std::size_t count = job.count;
+    // A malformed mask is caught here rather than as the backend's
+    // InvalidRequest mid-serve: a deterministic Rejected outcome, no
+    // retry loop and no lane quarantine for what is a client error.
+    const bool masks_ok =
+        masksValid(job.fn, job.const_requests, count,
+                   batchNv(job.const_requests, count));
+    if (masks_ok) {
+        job.unit_weight =
+            batchUnitWeight(job.fn, job.const_requests, count);
+        job.mask_sig = maskSignature(job.fn, job.const_requests, count);
+    }
+    const bool tagged = job.deadline_us != sched::kNoDeadline;
+    std::lock_guard<std::mutex> lock(mu_);
+    assert(backendCount() > 0);
+    assert(backend_id == kLeastLoaded || backend_id == kAllLanes ||
+           (backend_id >= 0 && backend_id < backendCount()));
+    // One timestamp serves admission, the immediate-miss check and the
+    // observability hooks; an untagged, unobserved submit skips the
+    // clock read.
+    const double now = admission_ || tagged || trace_ || metrics_
+                           ? perf::nowUs()
+                           : 0.0;
+    job.submit_at_us = now;
+    // A spread placement water-fills over every healthy lane; any
+    // other is one shard on the bound (or least-loaded) lane.
+    const bool spread =
+        backend_id == kAllLanes && backendCount() > 1 && count > 1;
+    const int shards =
+        masks_ok ? placeLocked(count, job.unit_weight, backend_id, spread)
+                 : 0;
+    // Admission and the completion estimate judge what one lane runs:
+    // a single shard's whole batch on its lane; a spread job by the
+    // even slice a healthy lane would run, admitted against the
+    // least-loaded lane and estimated on the least-contended one (the
+    // shards run concurrently).
+    std::size_t probe_pts = count;
+    if (spread && shards > 0) {
+        const std::size_t healthy = healthyLaneCount();
+        probe_pts = (count + healthy - 1) / healthy;
+    }
+    JobOutcome early = JobOutcome::Pending;
+    if (!masks_ok)
+        early = JobOutcome::Rejected;
+    else if (shards == 0)
+        early = JobOutcome::Failed;
+    else if (admission_ &&
+             !admitLocked(job, probe_pts,
+                          spread ? leastLoadedLane() : placement_[0].lane,
+                          now))
+        early = JobOutcome::Rejected;
+
+    jobs_.push_back(std::move(job));
+    const int id = static_cast<int>(retire_base_ + jobs_.size()) - 1;
+    Job &j = jobs_.back();
+    ++pending_jobs_;
+    if (trace_)
+        trace_->control().record(obs::EventKind::Submit, now, id, -1, j.fn,
+                                 static_cast<std::uint32_t>(count),
+                                 j.deadline_us);
+    if (metrics_)
+        metrics_->add(obs::Counter::JobsSubmitted);
+    if (early != JobOutcome::Pending) {
+        // Shed, or no healthy lane: the job still gets a record, so
+        // wait() returns for it and jobOutcome() says why.
+        finishLocked(id, early, -1);
+        return id;
+    }
+    if (tagged && j.deadline_us <= now)
+        ++sched_stats_.immediate_misses;
+    // Admission-model completion estimate for the calibration gauges:
+    // recorded per tagged job once the EWMA has its first sample, and
+    // compared against the actual completion time in finishLocked.
+    if (metrics_ && tagged && task_us_ewma_ > 0.0) {
+        double w = competingWeightLocked(j, placement_[0].lane);
+        if (spread)
+            for (int i = 0; i < backendCount(); ++i)
+                if (lanes_[i].healthy)
+                    w = std::min(w, competingWeightLocked(j, i));
+        j.predicted_done_us =
+            now + sched::predictedAdmissionUs(
+                      w, static_cast<int>(probe_pts), j.stages,
+                      task_us_ewma_, 0.0, j.unit_weight);
+    }
+    j.shards = j.remaining = shards;
+    if (trace_)
+        trace_->control().record(
+            obs::EventKind::Admitted, now, id, -1, j.fn,
+            static_cast<std::uint32_t>(placement_[0].lane),
+            j.predicted_done_us);
+    for (int s = 0; s < shards; ++s) {
+        const Shard &sh = placement_[s];
+        // A serial-stage job commits ALL its stages to its lane;
+        // charge the full FD-equivalent debt so later placement
+        // decisions see it.
+        lanes_[sh.lane].load_weight +=
+            static_cast<double>(sh.count * j.stages) * j.unit_weight;
+        if (trace_)
+            trace_->control().record(
+                obs::EventKind::Enqueued, now, id,
+                static_cast<std::int16_t>(sh.lane), j.fn,
+                static_cast<std::uint32_t>(sh.count),
+                lanes_[sh.lane].load_weight);
+        pushWork(sh.lane, WorkItem{id, sh.begin, sh.count});
+    }
     return id;
+}
+
+int
+DynamicsServer::submit(FunctionType fn, const DynamicsRequest *requests,
+                       std::size_t count, DynamicsResult *results,
+                       int backend_id, sched::JobTag tag)
+{
+    Job job;
+    job.fn = fn;
+    job.const_requests = requests;
+    job.results = results;
+    job.count = count;
+    job.priority = tag.priority;
+    job.deadline_us = tag.deadline_us;
+    return enqueueJob(std::move(job), backend_id);
+}
+
+int
+DynamicsServer::submitSerialStages(FunctionType fn,
+                                   DynamicsRequest *requests,
+                                   std::size_t points, int stages,
+                                   AdvanceFn advance, void *ctx,
+                                   DynamicsResult *results, int backend_id,
+                                   sched::JobTag tag)
+{
+    assert(stages >= 1);
+    Job job;
+    job.fn = fn;
+    job.requests = requests;
+    job.const_requests = requests;
+    job.results = results;
+    job.count = points;
+    job.stages = stages;
+    job.advance = advance;
+    job.ctx = ctx;
+    job.priority = tag.priority;
+    job.deadline_us = tag.deadline_us;
+    return enqueueJob(std::move(job), backend_id);
+}
+
+int
+DynamicsServer::submitSharded(FunctionType fn,
+                              const DynamicsRequest *requests,
+                              std::size_t count, DynamicsResult *results,
+                              sched::JobTag tag)
+{
+    return submit(fn, requests, count, results, kAllLanes, tag);
 }
 
 namespace {
@@ -876,35 +873,20 @@ DynamicsServer::serveOne(int lane_id)
         // lane is healthy, so no retry and no quarantine. Submit-time
         // validation catches these up front; this arm only fires when
         // an advance callback builds a bad mask mid-job. The picked
-        // jobs fail explicitly — wait() returns, outcome says why.
+        // jobs fail explicitly — wait() returns, outcome says why — a
+        // sharded one once its last shard is back.
         std::lock_guard<std::mutex> lock(mu_);
-        bool any_done = false;
         for (const WorkItem &item : lane.picked) {
             Job &job = jobRef(item.job);
-            lane.load_weight -= job.unit_weight * item.count;
-            job.outcome = JobOutcome::Failed;
-            if (--job.remaining == 0) {
-                job.done = true;
-                job.done_at_us = perf::nowUs();
-                ++sched_stats_.failed_jobs;
-                --pending_jobs_;
-                any_done = true;
-                if (trace_)
-                    trace_->control().record(
-                        obs::EventKind::Failed, job.done_at_us,
-                        item.job, static_cast<std::int16_t>(lane_id),
-                        job.fn,
-                        static_cast<std::uint32_t>(job.outcome),
-                        job.done_at_us - job.submit_at_us);
-                if (metrics_)
-                    metrics_->add(obs::Counter::JobsFailed);
-            }
+            // Its later stages will never run: release all it owes.
+            lane.load_weight -= job.debt(item.count);
+            job.failed = true;
+            if (--job.remaining == 0)
+                finishLocked(item.job, JobOutcome::Failed, lane_id);
         }
         lane.picked.clear();
         lane.picked_req.clear();
         lane.picked_res.clear();
-        if (any_done)
-            done_cv_.notify_all();
         return true; // progress: the bad batch left the queue
     }
     if (status != SubmitStatus::Ok) {
@@ -953,27 +935,13 @@ DynamicsServer::failLane(int lane_id)
     // submit returned), so by the time the LAST lane dies no batch
     // can be in flight anywhere: a job failed here is truly
     // unservable, not merely unlucky.
-    bool any_failed = false;
     auto reroute = [&](const WorkItem &item) {
         Job &job = jobRef(item.job);
         if (job.done)
-            return; // defensive: already terminal
+            return; // another item of the job already failed it
         const int dest = leastLoadedLane();
         if (dest < 0) {
-            job.done = true;
-            job.outcome = JobOutcome::Failed;
-            job.done_at_us = perf::nowUs();
-            ++sched_stats_.failed_jobs;
-            --pending_jobs_;
-            any_failed = true;
-            if (ring)
-                ring->record(obs::EventKind::Failed, job.done_at_us,
-                             item.job,
-                             static_cast<std::int16_t>(lane_id), job.fn,
-                             static_cast<std::uint32_t>(job.outcome),
-                             job.done_at_us - job.submit_at_us);
-            if (metrics_)
-                metrics_->add(obs::Counter::JobsFailed);
+            finishLocked(item.job, JobOutcome::Failed, lane_id);
             return;
         }
         if (ring)
@@ -986,13 +954,7 @@ DynamicsServer::failLane(int lane_id)
         // on the new lane — completed stages (and the advance calls
         // between them) are preserved — and moves its remaining
         // committed stage debt with it.
-        const double w = job.unit_weight;
-        const double debt =
-            job.stages == 1
-                ? w * static_cast<double>(item.count)
-                : w * static_cast<double>(item.count) *
-                      static_cast<double>(job.stages - job.stage);
-        lanes_[dest].load_weight += debt;
+        lanes_[dest].load_weight += job.debt(item.count);
         ++sched_stats_.requeued_items;
         pushWork(dest, item);
     };
@@ -1006,8 +968,6 @@ DynamicsServer::failLane(int lane_id)
     lane.work.clear();
     lane.flat_queued = 0;
     lane.load_weight = 0.0;
-    if (any_failed)
-        done_cv_.notify_all();
 }
 
 void
@@ -1055,115 +1015,43 @@ DynamicsServer::completePicked(int lane_id, const BatchStats &stats,
                     static_cast<double>(stats.cycles) * frac);
                 item_stats.total_us = stats.total_us * frac;
             }
-            if (job.sharded) {
-                // Concurrent shards: the job's makespan is its
-                // slowest shard, not the sum.
-                job.busy_us = std::max(job.busy_us, item_stats.total_us);
-                mergeShardStats(job.last_stats, item_stats);
-            } else {
-                job.busy_us += item_stats.total_us;
+            // Shards of one stage overlap in backend time: the stage
+            // costs its slowest shard and its stats merge (max
+            // makespan); stages add up. A single shard's stats are
+            // taken verbatim.
+            if (job.remaining == job.shards)
                 job.last_stats = item_stats;
+            else
+                mergeShardStats(job.last_stats, item_stats);
+            if (--job.remaining > 0)
+                continue;
+            job.busy_us += job.last_stats.total_us;
+            if (job.failed) {
+                // A sibling shard hit InvalidRequest: its last item
+                // is back, so the job ends Failed.
+                finishLocked(item.job, JobOutcome::Failed, lane_id);
+                continue;
             }
-            if (--job.remaining == 0) {
-                ++job.stage;
-                if (trace_ && job.stages > 1)
-                    trace_->control().record(
-                        obs::EventKind::StageDone, perf::nowUs(),
-                        item.job, static_cast<std::int16_t>(lane_id),
-                        job.fn, static_cast<std::uint32_t>(job.stage),
-                        static_cast<double>(job.stages));
-                if (job.stage < job.stages) {
-                    // Chain the next stage outside the lock (the
-                    // advance callback may re-enter submit()). Only
-                    // this thread touches the job until its next item
-                    // is queued, and jobs_ is a deque, so the pointer
-                    // stays valid across concurrent submissions.
-                    // Serial items are never merged or stolen, so a
-                    // chained pick is always a solo item of this lane.
-                    assert(!merged);
-                    chained = &job;
-                    chained_id = item.job;
-                } else {
-                    job.done = true;
-                    job.done_at_us = perf::nowUs();
-                    if (job.outcome != JobOutcome::Pending) {
-                        // A sibling shard already failed this job
-                        // (InvalidRequest arm): keep that outcome,
-                        // book it as failed, skip deadline buckets.
-                        ++sched_stats_.failed_jobs;
-                        --pending_jobs_;
-                        if (trace_)
-                            trace_->control().record(
-                                obs::EventKind::Failed, job.done_at_us,
-                                item.job,
-                                static_cast<std::int16_t>(lane_id),
-                                job.fn,
-                                static_cast<std::uint32_t>(job.outcome),
-                                job.done_at_us - job.submit_at_us);
-                        if (metrics_)
-                            metrics_->add(obs::Counter::JobsFailed);
-                        done_cv_.notify_all();
-                        continue;
-                    }
-                    job.outcome = JobOutcome::Completed;
-                    const bool tagged =
-                        job.deadline_us != sched::kNoDeadline;
-                    if (tagged) {
-                        job.missed = job.done_at_us > job.deadline_us;
-                        if (job.missed)
-                            ++sched_stats_.deadline_misses;
-                        else
-                            ++sched_stats_.deadline_met;
-                    }
-                    if (trace_)
-                        trace_->control().record(
-                            obs::EventKind::Completed, job.done_at_us,
-                            item.job, static_cast<std::int16_t>(lane_id),
-                            job.fn, job.missed ? 1u : 0u,
-                            job.done_at_us - job.submit_at_us);
-                    if (metrics_) {
-                        metrics_->add(obs::Counter::JobsCompleted);
-                        if (tagged)
-                            metrics_->add(job.missed
-                                              ? obs::Counter::DeadlineMissed
-                                              : obs::Counter::DeadlineMet);
-                        if (job.first_pick_at_us > 0.0)
-                            metrics_
-                                ->histogram(job.fn, tagged,
-                                            obs::LatKind::QueueWait)
-                                .record(job.first_pick_at_us -
-                                        job.submit_at_us);
-                        metrics_
-                            ->histogram(job.fn, tagged,
-                                        obs::LatKind::Service)
-                            .record(job.busy_us);
-                        metrics_
-                            ->histogram(job.fn, tagged,
-                                        obs::LatKind::EndToEnd)
-                            .record(job.done_at_us - job.submit_at_us);
-                        if (job.predicted_done_us > 0.0) {
-                            // Predicted-vs-actual admission error: the
-                            // calibration signal of the admission
-                            // model, relative to its own horizon.
-                            const double err =
-                                job.done_at_us - job.predicted_done_us;
-                            const double horizon =
-                                std::max(job.predicted_done_us -
-                                             job.submit_at_us,
-                                         1.0);
-                            metrics_->set(
-                                obs::Gauge::AdmissionLastErrUs, err);
-                            metrics_->ewma(
-                                obs::Gauge::AdmissionErrRelEwma,
-                                std::abs(err) / horizon);
-                            metrics_->add(
-                                obs::Counter::AdmissionSamples);
-                        }
-                    }
-                    ++stats_.jobs;
-                    --pending_jobs_;
-                    done_cv_.notify_all();
-                }
+            ++job.stage;
+            if (trace_ && job.stages > 1)
+                trace_->control().record(
+                    obs::EventKind::StageDone, perf::nowUs(), item.job,
+                    static_cast<std::int16_t>(lane_id), job.fn,
+                    static_cast<std::uint32_t>(job.stage),
+                    static_cast<double>(job.stages));
+            if (job.stage < job.stages) {
+                // Chain the next stage outside the lock (the advance
+                // callback may re-enter submit()). Only this thread
+                // touches the job until its next item is queued, and
+                // jobs_ is a deque, so the pointer stays valid across
+                // concurrent submissions. Serial items are never
+                // merged or stolen, so a chained pick is always a
+                // solo item of this lane.
+                assert(!merged);
+                chained = &job;
+                chained_id = item.job;
+            } else {
+                finishLocked(item.job, JobOutcome::Completed, lane_id);
             }
         }
         if (metrics_)
@@ -1175,7 +1063,7 @@ DynamicsServer::completePicked(int lane_id, const BatchStats &stats,
                              chained->results, chained->requests,
                              chained->count);
         std::lock_guard<std::mutex> lock(mu_);
-        chained->remaining = 1;
+        chained->remaining = chained->shards;
         // Re-enqueue at the lane's tail: stages of this job stay
         // ordered, other clients' queued work interleaves between
         // the stage boundaries.

@@ -6,23 +6,30 @@
  *
  * Multiple clients (robots, workloads, benchmark harnesses) enqueue
  * jobs; the server runs them over the registered backends and
- * accounts the makespan in backend time. Three job shapes exist:
+ * accounts the makespan in backend time. There is one job model: a
+ * job is `stages` x a list of (lane, begin, count) shards of one
+ * request batch, and the three submit calls only choose the shape —
  *
- *  - flat batches: N independent requests of one function, bound to
- *    one backend (or to the least-loaded one via kLeastLoaded);
- *  - sharded flat batches: one large batch split across ALL
- *    registered backends by least-loaded water-filling, the shards
- *    executing concurrently (one per backend lane) and their
- *    BatchStats merged back into one job-level makespan;
- *  - serial-stage jobs (Fig. 13 of the paper): P points x S stages
- *    where stage k+1 of a point consumes stage k's result of the
- *    *same* point. Each stage is submitted as ONE batch of all P
- *    points — the pipeline stays full within a stage and the latency
- *    is paid once per stage boundary — and a caller-supplied advance
- *    callback turns stage-k results into stage-(k+1) requests
- *    between submissions. Stages of one job stay ordered, but OTHER
- *    clients' work interleaves between its stage boundaries, so a
- *    long rollout does not monopolize its backend lane.
+ *  - submit(): a flat batch, 1 x 1, bound to one backend (or to the
+ *    least-loaded one via kLeastLoaded);
+ *  - submitSharded(): 1 x n, the batch split across ALL healthy
+ *    backends by least-loaded water-filling, the shards executing
+ *    concurrently (one per backend lane);
+ *  - submitSerialStages() (Fig. 13 of the paper): S x 1, P points x
+ *    S stages where stage k+1 of a point consumes stage k's result
+ *    of the *same* point. Each stage is ONE batch of all P points —
+ *    the pipeline stays full within a stage and the latency is paid
+ *    once per stage boundary — and a caller-supplied advance callback
+ *    turns stage-k results into stage-(k+1) requests between
+ *    submissions. Stages of one job stay ordered, but OTHER clients'
+ *    work interleaves between its stage boundaries, so a long rollout
+ *    does not monopolize its backend lane.
+ *
+ * Every job goes through one enqueue path (mask validation,
+ * placement, admission, trace, lane load) and ends in one terminal
+ * helper that books its outcome. One accounting rule covers every
+ * shape: the shards of a stage merge to the max makespan, stages add
+ * up, and jobStats() is the last stage's merged stats.
  *
  * QoS scheduling (src/runtime/sched/): what a lane runs next is a
  * pluggable sched::SchedPolicy decision, selected via setPolicy().
@@ -280,23 +287,22 @@ class DynamicsServer
     double laneLoadWeight(int lane) const;
 
     /**
-     * Backend busy time of one completed job (µs): summed over the
-     * stages of a serial-stage job, max over the concurrent shards
-     * of a sharded batch. A job served inside a coalesced batch is
-     * charged its task-proportional share of the merged batch time.
-     * Per-job records are retired by the second drain() after
-     * completion — read before then.
+     * Backend busy time of one completed job (µs): summed over its
+     * stages, each stage the max over its concurrent shards. A job
+     * served inside a coalesced batch is charged its task-proportional
+     * share of the merged batch time. Per-job records are retired by
+     * the second drain() after completion — read before then.
      */
     double jobUs(int job) const;
 
     /**
-     * Per-job stats: the last submitted batch of an unsharded job,
-     * the merged shard stats (max makespan/cycles, summed stalls) of
-     * a sharded one. For a job served inside a coalesced batch, the
-     * makespan-like fields are its task-proportional share and the
-     * rate/latency fields are the merged batch's. Read after the job
-     * completed; a retired record (like jobUs(), second drain()
-     * after completion) returns zeroed stats.
+     * Per-job stats: the last stage's shards merged (max
+     * makespan/cycles, summed stalls; one shard verbatim). For a job
+     * served inside a coalesced batch, the makespan-like fields are
+     * its task-proportional share and the rate/latency fields are the
+     * merged batch's. Read after the job completed; a retired record
+     * (like jobUs(), second drain() after completion) returns zeroed
+     * stats.
      */
     BatchStats jobStats(int job) const;
 
@@ -393,8 +399,9 @@ class DynamicsServer
         AdvanceFn advance = nullptr;
         void *ctx = nullptr;
         int stage = 0;          ///< stages completed so far
-        int remaining = 0;      ///< outstanding work items
-        bool sharded = false;
+        int shards = 1;         ///< work items per stage
+        int remaining = 0;      ///< items of the stage still out
+        bool failed = false;    ///< an item hit InvalidRequest
         bool done = false;
         JobOutcome outcome = JobOutcome::Pending;
         int priority = 0;                           ///< EDF tie-break
@@ -418,6 +425,22 @@ class DynamicsServer
         double submit_at_us = 0.0;     ///< wall submission time
         double first_pick_at_us = 0.0; ///< first serve pick (queue wait end)
         double predicted_done_us = 0.0; ///< admission-model completion estimate
+
+        /** FD-equivalent load @p items of this job owe their lane:
+         *  the current stage and every later one. */
+        double debt(std::size_t items) const
+        {
+            return unit_weight * static_cast<double>(items) *
+                   static_cast<double>(stages - stage);
+        }
+    };
+
+    /** One shard of a job's placement: a slice bound to a lane. */
+    struct Shard
+    {
+        int lane = 0;
+        std::size_t begin = 0;
+        std::size_t count = 0;
     };
 
     /** One queued slice of a job, bound to a lane. */
@@ -489,8 +512,26 @@ class DynamicsServer
         const DynamicsServer *server_;
     };
 
+    /** backend_id of submitSharded(): water-fill over every lane. */
+    static constexpr int kAllLanes = -2;
+
     // All private helpers below assume mu_ is held unless noted.
+    /**
+     * The one enqueue path (WITHOUT mu_): validate the masks, place
+     * the shards, admit, record Submit/Admitted/Enqueued, charge the
+     * lane loads and push the work.
+     */
     int enqueueJob(Job job, int backend_id);
+    /**
+     * Fill placement_ with the job's shards: water-filled over the
+     * healthy lanes when @p spread, else one shard on @p backend_id
+     * (or the least-loaded lane). @return the shard count, 0 when no
+     * lane is healthy.
+     */
+    int placeLocked(std::size_t count, double w, int backend_id,
+                    bool spread);
+    /** Least-loaded water-filling of @p count tasks of weight @p w. */
+    int waterFillLocked(std::size_t count, double w);
     int leastLoadedLane();
     int healthyLaneCount() const;
     void pushWork(int lane, WorkItem item);
@@ -502,10 +543,18 @@ class DynamicsServer
         return id >= 0 && static_cast<std::size_t>(id) >= retire_base_ &&
                static_cast<std::size_t>(id) < retire_base_ + jobs_.size();
     }
-    /** Record a job that terminates at submission (shed / no lane). */
-    int recordTerminalJob(Job job, JobOutcome outcome);
-    /** Admission decision for @p job bound for @p lane. */
-    bool admitLocked(const Job &job, int lane, double now_us);
+    /**
+     * The only code that ends a job: sets done/outcome/done_at_us,
+     * books the outcome (stats_.jobs and a deadline bucket, or
+     * rejected_jobs / failed_jobs) and its metrics, records the one
+     * terminal trace event on the control ring, releases
+     * pending_jobs_ and wakes waiters. @p lane is the lane that saw
+     * the end (-1 at submission).
+     */
+    void finishLocked(int id, JobOutcome outcome, int lane);
+    /** Admission decision for @p points of @p job bound for @p lane. */
+    bool admitLocked(const Job &job, std::size_t points, int lane,
+                     double now_us);
     /**
      * FD-equivalent work on @p lane that would run before @p job
      * under the current policy (EDF: queued items with deadline ≤
@@ -530,7 +579,7 @@ class DynamicsServer
     /** Pop + execute one policy pick on @p lane. WITHOUT mu_ held. */
     bool serveOne(int lane);
     /** Batch completion for every item of the lane's current pick:
-     *  accounting, deadline check, stage chaining, shard merge. */
+     *  accounting, shard merge, stage chaining, job completion. */
     void completePicked(int lane, const BatchStats &stats,
                         std::size_t total);
     /**
@@ -562,8 +611,9 @@ class DynamicsServer
     std::size_t retire_base_ = 0; ///< id of jobs_.front()
     std::size_t retire_mark_ = 0; ///< ids below this may retire
     std::vector<std::thread> workers_;
-    // Grow-only sharding scratch, reused under mu_ so steady-state
-    // sharded submission does not allocate while holding the lock.
+    // Grow-only placement scratch, reused under mu_ so steady-state
+    // submission does not allocate while holding the lock.
+    std::vector<Shard> placement_;
     std::vector<std::size_t> order_scratch_, share_scratch_;
     std::vector<double> eff_scratch_, fshare_scratch_;
     std::atomic<bool> running_{false};

@@ -178,6 +178,69 @@ advancePlusOne(void *ctx, int, const DynamicsResult *results,
     }
 }
 
+/** Stage-boundary advance that writes an out-of-range seed at one stage. */
+struct BadSeedAdvance
+{
+    int bad_stage = 0;
+    int nv = 0;
+    std::atomic<int> calls{0};
+};
+
+void
+advanceBadSeed(void *ctx, int next_stage, const DynamicsResult *,
+               DynamicsRequest *requests, std::size_t)
+{
+    auto *adv = static_cast<BadSeedAdvance *>(ctx);
+    adv->calls.fetch_add(1, std::memory_order_relaxed);
+    if (next_stage == adv->bad_stage)
+        requests[0].seed_cols = {adv->nv + 3};
+}
+
+/**
+ * Decorator whose lane answers every batch with InvalidRequest — what
+ * a backend reports for a malformed batch the server did not catch.
+ */
+class InvalidRequestBackend : public runtime::DynamicsBackend
+{
+  public:
+    explicit InvalidRequestBackend(runtime::DynamicsBackend &inner)
+        : inner_(inner)
+    {}
+
+    const char *name() const override { return "invalid-request"; }
+    const RobotModel &robot() const override { return inner_.robot(); }
+    bool offloaded() const override { return inner_.offloaded(); }
+
+    SubmitStatus
+    submit(FunctionType, const DynamicsRequest *, std::size_t,
+           DynamicsResult *, BatchStats *) override
+    {
+        return SubmitStatus::InvalidRequest;
+    }
+
+  private:
+    runtime::DynamicsBackend &inner_;
+};
+
+/** Terminal trace events (Completed/Rejected/Failed) of @p job, all rings. */
+int
+terminalEvents(const runtime::obs::TraceBuffer &buf, int job)
+{
+    using runtime::obs::EventKind;
+    int n = 0;
+    for (std::size_t r = 0; r < buf.ringCount(); ++r) {
+        const runtime::obs::TraceRing &ring = buf.ring(r);
+        for (std::size_t i = 0; i < ring.retained(); ++i) {
+            const runtime::obs::TraceEvent &ev = ring.at(i);
+            if (ev.job == job && (ev.kind == EventKind::Completed ||
+                                  ev.kind == EventKind::Rejected ||
+                                  ev.kind == EventKind::Failed))
+                ++n;
+        }
+    }
+    return n;
+}
+
 // ---------------------------------------------------------------------
 // FaultInjectingBackend unit behavior
 // ---------------------------------------------------------------------
@@ -464,6 +527,79 @@ TEST(FaultServer, AllLanesDeadFailsJobsExplicitly)
         server.submit(FunctionType::FD, reqs.data(), 2, results.data());
     EXPECT_EQ(server.jobOutcome(job2), JobOutcome::Failed);
     server.wait(job2); // returns immediately
+}
+
+TEST(FaultServer, SerialStageBadSeedMidJobFailsWithoutQuarantine)
+{
+    // The advance callback builds stage 2 with an out-of-range seed:
+    // the backend answers InvalidRequest, a client error. The job
+    // fails explicitly; the lane is neither retried nor quarantined.
+    const RobotModel robot = model::makeSerialChain(3);
+    accel::Accelerator accel(robot);
+    runtime::AnalyticBackend backend(accel);
+    DynamicsServer server(backend);
+    SchedConfig cfg;
+    cfg.obs.trace = true;
+    server.setPolicy(cfg);
+    server.start();
+
+    auto reqs = randomRequests(robot, 4, 81);
+    BadSeedAdvance adv;
+    adv.bad_stage = 2;
+    adv.nv = robot.nv();
+    std::vector<DynamicsResult> results(4);
+    const int job = server.submitSerialStages(
+        FunctionType::DeltaFD, reqs.data(), 4, /*stages=*/4,
+        advanceBadSeed, &adv, results.data());
+    server.wait(job);
+    EXPECT_EQ(server.jobOutcome(job), JobOutcome::Failed);
+    EXPECT_EQ(server.pending(), 0u);
+    EXPECT_TRUE(server.laneHealthy(0));
+    EXPECT_EQ(adv.calls.load(), 2);
+    // The stages that will never run no longer weigh on the lane.
+    EXPECT_DOUBLE_EQ(server.laneLoadWeight(0), 0.0);
+
+    runtime::ServerStats stats;
+    SchedStats sstats;
+    server.drain(&stats, &sstats);
+    server.stop();
+    EXPECT_EQ(sstats.retries, 0u);
+    EXPECT_EQ(sstats.lane_deaths, 0u);
+    EXPECT_EQ(sstats.failed_jobs, 1u);
+    EXPECT_EQ(stats.jobs, 0u);
+    EXPECT_EQ(terminalEvents(*server.traceBuffer(), job), 1);
+}
+
+TEST(FaultServer, ShardedJobFailsOnceWhenOneShardIsInvalid)
+{
+    // Two shards; lane 0 answers InvalidRequest. The synchronous drain
+    // serves lane 0 first, so its failure only marks the job and the
+    // sibling shard's completion on lane 1 is what ends it — Failed,
+    // booked once, never counted as served.
+    const RobotModel robot = model::makeSerialChain(3);
+    EchoBackend inner0(robot), lane1(robot);
+    InvalidRequestBackend lane0(inner0);
+    DynamicsServer server(lane0);
+    server.addBackend(lane1);
+    SchedConfig cfg;
+    cfg.obs.trace = true;
+    server.setPolicy(cfg);
+
+    const auto reqs = randomRequests(robot, 8, 83);
+    std::vector<DynamicsResult> results(8);
+    const int job = server.submitSharded(FunctionType::FD, reqs.data(), 8,
+                                         results.data());
+    runtime::ServerStats stats;
+    SchedStats sstats;
+    server.drain(&stats, &sstats);
+    EXPECT_EQ(server.jobOutcome(job), JobOutcome::Failed);
+    EXPECT_EQ(sstats.failed_jobs, 1u);
+    EXPECT_EQ(stats.jobs, 0u);
+    EXPECT_EQ(stats.batches, 1u); // lane 1's shard ran
+    EXPECT_TRUE(server.laneHealthy(0));
+    EXPECT_TRUE(server.laneHealthy(1));
+    EXPECT_EQ(server.pending(), 0u);
+    EXPECT_EQ(terminalEvents(*server.traceBuffer(), job), 1);
 }
 
 // ---------------------------------------------------------------------

@@ -355,6 +355,60 @@ TEST(ObsServer, JobLifecycleEventsAreOrdered)
     const LatencyHistogram &e2e_hist =
         m->histogram(FunctionType::FD, false, LatKind::EndToEnd);
     EXPECT_EQ(e2e_hist.count(), static_cast<std::uint64_t>(kJobs));
+
+    // A sharded job over two idle lanes records the same lifecycle:
+    // one Submit, one Admitted naming the FIRST shard's lane, one
+    // Enqueued per shard on that shard's lane, one Completed.
+    runtime::AnalyticBackend lane_a(accel), lane_b(accel);
+    DynamicsServer two(lane_a);
+    two.addBackend(lane_b);
+    two.setPolicy(cfg);
+    constexpr int kShardN = 8;
+    const auto sreqs = randomRequests(robot, kShardN, 37);
+    std::vector<DynamicsResult> sres(kShardN);
+    const int sid = two.submitSharded(FunctionType::FD, sreqs.data(),
+                                      kShardN, sres.data());
+    two.drain();
+    int n_submit = 0, n_admitted = 0, n_completed = 0;
+    std::uint32_t admitted_lane = 99;
+    std::vector<int> enq_lane;
+    std::uint32_t enq_tasks = 0;
+    const TraceRing &sctl = two.traceBuffer()->control();
+    for (std::size_t i = 0; i < sctl.retained(); ++i) {
+        const TraceEvent &ev = sctl.at(i);
+        if (ev.job != sid)
+            continue;
+        switch (ev.kind) {
+          case EventKind::Submit: ++n_submit; break;
+          case EventKind::Admitted:
+            ++n_admitted;
+            admitted_lane = ev.a;
+            break;
+          case EventKind::Enqueued:
+            enq_lane.push_back(ev.lane);
+            enq_tasks += ev.a;
+            break;
+          case EventKind::Completed: ++n_completed; break;
+          default: break;
+        }
+    }
+    EXPECT_EQ(n_submit, 1);
+    EXPECT_EQ(n_admitted, 1);
+    EXPECT_EQ(n_completed, 1);
+    ASSERT_EQ(enq_lane.size(), 2u);
+    EXPECT_EQ(enq_lane[0], 0); // idle lanes: shards in lane order
+    EXPECT_EQ(enq_lane[1], 1);
+    EXPECT_EQ(admitted_lane, 0u);
+    EXPECT_EQ(enq_tasks, static_cast<std::uint32_t>(kShardN));
+    // Each shard was picked on the lane it was enqueued on.
+    for (int l : enq_lane) {
+        const TraceRing &ring = two.traceBuffer()->lane(l);
+        bool picked = false;
+        for (std::size_t i = 0; i < ring.retained(); ++i)
+            picked = picked || (ring.at(i).job == sid &&
+                                ring.at(i).kind == EventKind::Picked);
+        EXPECT_TRUE(picked) << "lane " << l;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -476,6 +530,23 @@ countOccurrences(const std::string &s, const char *needle)
         pos += len;
     }
     return n;
+}
+
+/** The whole file at @p path ("" when it cannot be opened). */
+std::string
+readFile(const char *path)
+{
+    std::string s;
+    std::FILE *f = std::fopen(path, "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (f) {
+        char c[4096];
+        std::size_t got;
+        while ((got = std::fread(c, 1, sizeof c, f)) > 0)
+            s.append(c, got);
+        std::fclose(f);
+    }
+    return s;
 }
 
 TEST(ObsServer, MpcOverloadTraceReconstructsMissedJob)
@@ -653,16 +724,7 @@ TEST(ObsServer, MpcOverloadTraceReconstructsMissedJob)
     // --- Chrome trace export is structurally valid. ---------------
     const char *path = "trace_obs_test.json";
     ASSERT_TRUE(runtime::obs::writeChromeTrace(*buf, path));
-    std::string json;
-    {
-        std::FILE *f = std::fopen(path, "rb");
-        ASSERT_NE(f, nullptr);
-        char chunk[4096];
-        std::size_t got;
-        while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-            json.append(chunk, got);
-        std::fclose(f);
-    }
+    const std::string json = readFile(path);
     std::remove(path);
     ASSERT_FALSE(json.empty());
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -682,6 +744,52 @@ TEST(ObsServer, MpcOverloadTraceReconstructsMissedJob)
     EXPECT_NE(json.find("\"id\":" + std::to_string(missed_job) +
                         ",\"bp\":\"e\""),
               std::string::npos);
+}
+
+TEST(ObsExport, ShedJobFlowIsClosed)
+{
+    // A job shed at submission still opens a flow at its Submit; its
+    // Rejected event must close that flow, or the exported trace
+    // carries a dangling flow start.
+    const RobotModel robot = model::makeSerialChain(3);
+    accel::Accelerator accel(robot);
+    runtime::AnalyticBackend backend(accel);
+    DynamicsServer server(backend);
+    SchedConfig cfg;
+    cfg.obs.trace = true;
+    server.setPolicy(cfg);
+    runtime::sched::AdmissionConfig acfg;
+    acfg.max_queue_depth = 1;
+    server.setAdmission(runtime::sched::makeDeadlineAdmission(acfg));
+
+    // Synchronous mode: the first job is still queued when the second
+    // arrives, so the depth bound sheds the second.
+    const auto reqs = randomRequests(robot, 4, 41);
+    std::vector<DynamicsResult> r0(4), r1(4);
+    const int kept =
+        server.submit(FunctionType::FD, reqs.data(), 4, r0.data());
+    const int shed =
+        server.submit(FunctionType::FD, reqs.data(), 4, r1.data());
+    ASSERT_EQ(server.jobOutcome(shed), runtime::JobOutcome::Rejected);
+    server.drain();
+    ASSERT_EQ(server.jobOutcome(kept), runtime::JobOutcome::Completed);
+
+    const char *path = "trace_shed_test.json";
+    ASSERT_TRUE(runtime::obs::writeChromeTrace(*server.traceBuffer(), path));
+    const std::string json = readFile(path);
+    std::remove(path);
+    // Both jobs' flows close exactly once ("bp":"e"). The kept job's
+    // open flow events are its start and its pick step; the shed job
+    // never reached a lane, so its only open event is the start.
+    auto flow = [&](int id, const char *end) {
+        const std::string needle = "\"cat\":\"job\",\"id\":" +
+                                   std::to_string(id) + end;
+        return countOccurrences(json, needle.c_str());
+    };
+    EXPECT_EQ(flow(kept, ",\"bp\":\"e\"}"), 1u);
+    EXPECT_EQ(flow(kept, "}"), 2u);
+    EXPECT_EQ(flow(shed, ",\"bp\":\"e\"}"), 1u) << "shed flow left open";
+    EXPECT_EQ(flow(shed, "}"), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -778,20 +886,7 @@ TEST(ObsStream, QuiescedStreamMatchesPostHocExportByteForByte)
         ASSERT_TRUE(streamer.closeFile());
         EXPECT_EQ(streamer.dropped(), 0u);
     }
-    auto slurp = [](const char *path) {
-        std::string s;
-        std::FILE *f = std::fopen(path, "rb");
-        EXPECT_NE(f, nullptr);
-        if (f) {
-            char c[4096];
-            std::size_t got;
-            while ((got = std::fread(c, 1, sizeof c, f)) > 0)
-                s.append(c, got);
-            std::fclose(f);
-        }
-        return s;
-    };
-    const std::string a = slurp(posthoc), b = slurp(streamed);
+    const std::string a = readFile(posthoc), b = readFile(streamed);
     std::remove(posthoc);
     std::remove(streamed);
     ASSERT_FALSE(a.empty());

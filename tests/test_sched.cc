@@ -28,9 +28,9 @@
 #include <thread>
 #include <vector>
 
-#include "app/scheduler.h"
 #include "model/builders.h"
 #include "perf/timing.h"
+#include "runtime/sched/admission.h"
 #include "runtime/sched/policy.h"
 #include "runtime/server.h"
 #include "test_support.h"
@@ -825,7 +825,7 @@ TEST(SchedQos, PredictedAdmissionMatchesExecutionUnderEdfCoalesce)
     EXPECT_DOUBLE_EQ(queued, 48.0); // 6 x 8 FD-equivalent tasks
 
     const int points = 16;
-    const double predicted = app::predictedAdmissionUs(
+    const double predicted = runtime::sched::predictedAdmissionUs(
         queued, points, 1, 2.0, 0.0,
         runtime::sched::functionWeight(FunctionType::FD));
 
@@ -873,7 +873,7 @@ TEST(SchedQos, PredictedAdmissionBoundsExecutionWithStealing)
     EXPECT_DOUBLE_EQ(queued, 24.0); // 3 x 8 per lane
 
     const int points = 16;
-    const double predicted = app::predictedAdmissionUs(
+    const double predicted = runtime::sched::predictedAdmissionUs(
         queued, points, 1, 2.0, 0.0,
         runtime::sched::functionWeight(FunctionType::FD));
 

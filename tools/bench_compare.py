@@ -90,6 +90,18 @@ SPEC = {
         ("mpc_*_skipped_refreshes", "exact", None),
         ("mpc_*_mean_live_density", "exact", None),
     ],
+    "BENCH_server.json": [
+        ("schema_version", "exact", None),
+        # Modeled time of deterministic placements: the sharded flat
+        # batch is submitted alone, and one shard has one lane. The
+        # water-fill must keep these bit-identical.
+        ("flat_*", "exact", None),
+        ("server_1shard_*", "exact", None),
+        # Modeled too, but concurrent clients make the 2- and 4-shard
+        # placement depend on thread timing (1.81-1.90 and 3.34-3.43
+        # over repeated runs on one host).
+        ("server_scale_*", "rel", 0.10),
+    ],
 }
 
 
