@@ -49,8 +49,9 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
     }
 
     // Environment stamps: the committed numbers are meaningless
-    // without them (a 1-core container shows 4t ≈ 1t, and the SoA
-    // speedup depends on the lane width the engines ran at).
+    // without them (thread rows stop at the host's hardware threads,
+    // and the SoA speedup depends on the lane width the engines ran
+    // at).
     const double hw =
         static_cast<double>(std::thread::hardware_concurrency());
     report.add("hardware_concurrency", hw);
@@ -58,11 +59,22 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
 
     algo::DynamicsWorkspace ws(robot);
     algo::FdDerivatives d;
+    // A k-thread row is only measured where the host has k hardware
+    // threads: BatchedDynamics clamps to the host, so on fewer cores
+    // the row would commit a number that does not measure k threads.
     std::vector<std::unique_ptr<algo::BatchedDynamics>> engines;
-    const std::vector<int> engine_threads = {2, 4, 8};
-    for (int threads : engine_threads)
+    std::vector<int> engine_threads;
+    for (int threads : {2, 4, 8}) {
+        if (hw > 0 && threads > hw) {
+            std::printf("batched engine %dt skipped: the host has %.0f "
+                        "hardware threads\n",
+                        threads, hw);
+            continue;
+        }
+        engine_threads.push_back(threads);
         engines.push_back(
             std::make_unique<algo::BatchedDynamics>(robot, threads));
+    }
 
     // Single-thread engines per lane width: the W sweep isolates the
     // SIMD contribution from threading (W = 1 is the scalar path).

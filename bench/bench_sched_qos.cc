@@ -57,7 +57,6 @@
 #include <thread>
 #include <vector>
 
-#include "app/scheduler.h"
 #include "runtime/backends.h"
 #include "runtime/obs/aggregate.h"
 #include "runtime/obs/export.h"

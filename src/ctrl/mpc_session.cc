@@ -68,8 +68,8 @@ MpcSession::ServerChannel::run(FunctionType fn,
         tag.deadline_us =
             t0 + s.cfg_.deadline_slack *
                      runtime::sched::predictedAdmissionUs(
-                         queued, static_cast<int>(count), 1,
-                         s.task_us_, 0.0, fn_weight);
+                         queued, static_cast<int>(count), s.task_us_,
+                         fn_weight);
     }
 
     int job;

@@ -12,8 +12,7 @@
  *  - AnalyticBackend:    the closed-form initiation-interval/latency
  *                        estimates of Accelerator::analytic() for the
  *                        timing, with the reference CPU kernels
- *                        supplying the numeric results so chained
- *                        (serial-stage) jobs still make progress.
+ *                        supplying the numeric results.
  */
 
 #ifndef DADU_RUNTIME_BACKENDS_H

@@ -20,7 +20,6 @@ const char *eventKindName(EventKind k)
     case EventKind::Retry: return "retry";
     case EventKind::Requeue: return "requeue";
     case EventKind::LaneDeath: return "lane_death";
-    case EventKind::StageDone: return "stage_done";
     case EventKind::Completed: return "completed";
     case EventKind::Failed: return "failed";
     case EventKind::TickBegin: return "tick";

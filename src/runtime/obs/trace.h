@@ -69,7 +69,6 @@ enum class EventKind : std::uint8_t
     Requeue,       ///< lane = dying lane, a = destination lane (-1 ⇒ none healthy)
     LaneDeath,     ///< lane = dead lane, a = items in flight at death
     // Completion side (control ring).
-    StageDone,     ///< a = completed stage index, b = stages total
     Completed,     ///< a = 1 if deadline missed else 0, b = end-to-end latency (µs)
     Failed,        ///< a = JobOutcome, b = end-to-end latency (µs)
     // Client-side spans (client rings).

@@ -11,11 +11,10 @@
 namespace dadu::runtime::sched {
 
 double
-predictedAdmissionUs(double queued_weight, int points, int stages,
-                     double task_us, double latency_us, double fn_weight)
+predictedAdmissionUs(double queued_weight, int points, double task_us,
+                     double fn_weight)
 {
-    return queued_weight * task_us +
-           stages * (points * task_us * fn_weight + latency_us);
+    return queued_weight * task_us + points * task_us * fn_weight;
 }
 
 namespace {
@@ -42,11 +41,10 @@ class DeadlineAdmission final : public AdmissionPolicy
         if (req.task_us <= 0.0)
             return true; // no calibration yet — cannot predict
         const double eta = predictedAdmissionUs(
-            req.queued_weight, req.points, req.stages, req.task_us,
-            /*latency_us=*/0.0,
+            req.queued_weight, req.points, req.task_us,
             req.fn_weight > 0.0 ? req.fn_weight
                                 : functionWeight(req.fn));
-        return req.now_us + cfg_.headroom * eta <= req.deadline_us;
+        return req.now_us + eta <= req.deadline_us;
     }
 
   private:

@@ -35,15 +35,12 @@ namespace dadu::runtime::sched {
  * Predicted microseconds until a newly submitted job completes, given
  * the weighted work that drains before it. @p task_us is the per-task
  * steady-state cost of a weight-1.0 function on one lane; @p
- * fn_weight scales it to the submitted function; @p latency_us is the
- * per-batch pipeline fill paid once per stage:
+ * fn_weight scales it to the submitted function:
  *
- *   queued_weight·task_us + stages·(points·task_us·fn_weight
- *                                   + latency_us)
+ *   queued_weight·task_us + points·task_us·fn_weight
  */
-double predictedAdmissionUs(double queued_weight, int points, int stages,
-                            double task_us, double latency_us,
-                            double fn_weight);
+double predictedAdmissionUs(double queued_weight, int points,
+                            double task_us, double fn_weight);
 
 /**
  * Everything an admission policy may consult, snapshotted under the
@@ -55,14 +52,11 @@ double predictedAdmissionUs(double queued_weight, int points, int stages,
 struct AdmissionRequest
 {
     FunctionType fn = FunctionType::FD;
-    int points = 0;         ///< tasks per stage
-    int stages = 1;         ///< serial stages (1 for flat jobs)
-    int priority = 0;       ///< JobTag::priority
+    int points = 0;         ///< tasks the target lane runs
     double deadline_us = kNoDeadline; ///< absolute, perf::nowUs() clock
     double now_us = 0.0;    ///< submission timestamp, same clock
     double queued_weight = 0.0; ///< FD-equivalent weight draining first
     std::size_t queue_depth = 0; ///< items queued on the target lane
-    int healthy_lanes = 0;  ///< lanes currently accepting work
     double task_us = 0.0;   ///< calibrated per-task cost (0 = unknown)
     /**
      * Live-column-aware per-task weight of the submitted job (the
@@ -93,14 +87,6 @@ struct AdmissionConfig
      * never depth-shed).
      */
     std::size_t max_queue_depth = 8;
-
-    /**
-     * Safety factor on the completion prediction for tagged jobs: a
-     * job is shed when now + headroom·predictedAdmissionUs exceeds
-     * its deadline. > 1.0 sheds earlier, < 1.0 gambles on the
-     * prediction being pessimistic.
-     */
-    double headroom = 1.0;
 };
 
 /**

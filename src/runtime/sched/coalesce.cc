@@ -11,10 +11,10 @@ absorbSameFnFlat(const QueueView &q, Pick &out)
         return 0;
     const std::size_t primary_pos = out.positions.front();
     const ItemView primary = q.item(out.lane, primary_pos);
-    // Only small flat batches amortize: a batch already near the
+    // Only small batches amortize: a batch already near the
     // pipeline-filling size pays its latency once over many tasks,
     // and merging it would just delay whoever queued behind it.
-    if (!primary.flat || primary.count >= kCoalesceOnlyBelow)
+    if (primary.count >= kCoalesceOnlyBelow)
         return 0;
     std::size_t total = primary.count;
     std::size_t absorbed = 0;
@@ -29,7 +29,7 @@ absorbSameFnFlat(const QueueView &q, Pick &out)
         // mixing a gated item with a dense one (or a differently
         // gated one) would push the whole merged batch off the
         // backend's uniform-mask SoA fast path.
-        if (!view.flat || view.fn != primary.fn ||
+        if (view.fn != primary.fn ||
             view.mask_sig != primary.mask_sig ||
             view.count >= kCoalesceOnlyBelow)
             continue;

@@ -30,9 +30,9 @@ class EdfPolicy : public SchedPolicy
 };
 
 /**
- * Decorator: after the inner policy picks a small flat primary,
- * absorb further small same-function flat items of the same lane
- * into one merged batch.
+ * Decorator: after the inner policy picks a small primary, absorb
+ * further small same-function items of the same lane into one merged
+ * batch.
  */
 class CoalescePolicy : public SchedPolicy
 {
@@ -51,10 +51,8 @@ class CoalescePolicy : public SchedPolicy
 
 /**
  * Decorator: when the inner policy finds nothing on the asking lane,
- * pull the best (EDF-ordered) queued flat item from another lane —
- * optionally coalescing more flat work from the same victim.
- * Serial-stage jobs are never stolen: their later stages are
- * lane-sticky and migrating one would split a job across backends.
+ * pull the best (EDF-ordered) queued item from another lane —
+ * optionally coalescing more work from the same victim.
  */
 class StealPolicy : public SchedPolicy
 {

@@ -12,10 +12,10 @@
  *
  *  - EDF picks the earliest-deadline runnable item instead of the
  *    queue front;
- *  - coalescing returns several small same-function flat items as
- *    one Pick, so the backend sees one pipeline-filling batch;
+ *  - coalescing returns several small same-function items as one
+ *    Pick, so the backend sees one pipeline-filling batch;
  *  - work stealing returns a Pick whose source lane differs from L,
- *    migrating queued flat work to an otherwise idle lane.
+ *    migrating queued work to an otherwise idle lane.
  *
  * pick() is always called with the server mutex held and the popped
  * items execute on L's worker thread, so every backend still sees
@@ -39,7 +39,7 @@ namespace dadu::runtime::sched {
 /**
  * Relative initiation-interval weight of one Table I function in
  * FD-equivalents — the load metric of the server's water-filling.
- * Counting raw task-stages treats a ∆FD task like an FD task, but a
+ * Counting raw tasks treats a ∆FD task like an FD task, but a
  * ∆FD occupies the pipeline ~1.5x longer (the derivative pass reuses
  * the forward arrays and adds the ∂-propagation); weighting the lane
  * load by II packs lanes by the time they actually owe.
@@ -84,7 +84,6 @@ struct ItemView
     std::uint64_t seq = 0; ///< submission order (job id): FIFO key
     int priority = 0;      ///< higher first (EDF tie-break)
     double deadline_us = kNoDeadline; ///< absolute, kNoDeadline if untagged
-    bool flat = false;     ///< single-stage: mergeable and stealable
     /**
      * Column-mask signature of the item's batch (runtime::
      * maskSignature): 0 dense, kMaskMixed heterogeneous, else a hash
@@ -102,19 +101,13 @@ class QueueView
     virtual int lanes() const = 0;
     virtual std::size_t depth(int lane) const = 0;
     virtual ItemView item(int lane, std::size_t pos) const = 0;
-    /**
-     * Number of FLAT items queued on @p lane — lets the stealing
-     * policy skip lanes with nothing stealable in O(1) instead of
-     * walking their queues on every probe.
-     */
-    virtual std::size_t flatCount(int lane) const = 0;
 };
 
 /**
  * One serve decision: pop the items at @p positions (strictly
  * ascending) of @p lane's queue and run them as ONE backend batch on
  * the asking lane. More than one position implies every named item
- * is flat and of the same function.
+ * is of the same function.
  */
 struct Pick
 {
@@ -174,10 +167,10 @@ inline constexpr std::size_t kCoalesceMaxTasks = 512;
 inline constexpr std::size_t kCoalesceMaxItems = 32;
 
 /**
- * Absorb further small same-function flat items of @p out.lane into
+ * Absorb further small same-function items of @p out.lane into
  * @p out (the coalescing step, shared by the coalescing and stealing
  * policies), within the kCoalesce* caps. @p out must already hold
- * one flat primary position; afterwards out.positions is sorted
+ * one primary position; afterwards out.positions is sorted
  * ascending. Returns the number of items absorbed.
  */
 std::size_t absorbSameFnFlat(const QueueView &q, Pick &out);

@@ -54,7 +54,7 @@ struct SchedConfig
     PolicyKind kind = PolicyKind::Fifo;
 
     /**
-     * Merge small same-function flat items queued on one lane into a
+     * Merge small same-function items queued on one lane into a
      * single backend batch (per-batch pipeline latency is paid once
      * for all of them); the merged BatchStats is split back per job
      * in proportion to task count. The caps are the kCoalesce*
@@ -64,9 +64,9 @@ struct SchedConfig
 
     /**
      * Let a lane whose queue yields nothing runnable pull queued
-     * flat items from other lanes (serial-stage jobs stay
-     * lane-sticky). Requires interchangeable backends — register
-     * clone()s of one configured backend, as with submitSharded().
+     * items from other lanes. Requires interchangeable backends —
+     * register clone()s of one configured backend, as with
+     * submitSharded().
      */
     bool steal = false;
 

@@ -80,13 +80,10 @@ DynamicsServer::QueueAdapter::item(int lane, std::size_t pos) const
     sched::ItemView view;
     view.fn = job.fn;
     view.count = w.count;
-    // Job ids are absolute submission indices: the FIFO key. A
-    // re-enqueued serial stage keeps its job's original id, so under
-    // EDF ties an old job's next stage is served before newer work.
+    // Job ids are absolute submission indices: the FIFO key.
     view.seq = static_cast<std::uint64_t>(w.job);
     view.priority = job.priority;
     view.deadline_us = job.deadline_us;
-    view.flat = job.stages == 1;
     view.mask_sig = job.mask_sig;
     return view;
 }
@@ -137,7 +134,7 @@ DynamicsServer::leastLoadedLane()
 {
     // Round-robin tie-breaking: equal loads are the common case
     // right after a sharded batch equalized the lanes, and a fixed
-    // preference would then funnel every serial-stage job onto lane
+    // preference would then funnel every least-loaded job onto lane
     // 0. Start each scan one past the previous winner. Quarantined
     // lanes are never candidates; -1 when none is healthy.
     const int n = static_cast<int>(lanes_.size());
@@ -167,8 +164,6 @@ void
 DynamicsServer::pushWork(int lane, WorkItem item)
 {
     lanes_[lane].work.push_back(item);
-    if (jobRef(item.job).stages == 1)
-        ++lanes_[lane].flat_queued; // stealable-item count for thieves
     lanes_[lane].cv.notify_one(); // the home lane's worker always cares
     if (policy_->crossLane()) {
         // Wake ONE sleeping lane as a potential thief (round-robin
@@ -200,12 +195,9 @@ DynamicsServer::admitLocked(const Job &job, std::size_t points, int lane,
     sched::AdmissionRequest req;
     req.fn = job.fn;
     req.points = static_cast<int>(points);
-    req.stages = job.stages;
-    req.priority = job.priority;
     req.deadline_us = job.deadline_us;
     req.now_us = now_us;
     req.queue_depth = lanes_[lane].work.size();
-    req.healthy_lanes = healthyLaneCount();
     req.task_us = task_us_ewma_;
     req.fn_weight = job.unit_weight;
     req.queued_weight = competingWeightLocked(job, lane);
@@ -385,7 +377,7 @@ DynamicsServer::finishLocked(int id, JobOutcome outcome, int lane)
                 metrics_->histogram(job.fn, tagged, obs::LatKind::QueueWait)
                     .record(job.first_pick_at_us - job.submit_at_us);
             metrics_->histogram(job.fn, tagged, obs::LatKind::Service)
-                .record(job.busy_us);
+                .record(job.stats.total_us);
             metrics_->histogram(job.fn, tagged, obs::LatKind::EndToEnd)
                 .record(e2e);
             if (job.predicted_done_us > 0.0) {
@@ -418,13 +410,11 @@ DynamicsServer::enqueueJob(Job job, int backend_id)
     // A malformed mask is caught here rather than as the backend's
     // InvalidRequest mid-serve: a deterministic Rejected outcome, no
     // retry loop and no lane quarantine for what is a client error.
-    const bool masks_ok =
-        masksValid(job.fn, job.const_requests, count,
-                   batchNv(job.const_requests, count));
+    const bool masks_ok = masksValid(job.fn, job.requests, count,
+                                     batchNv(job.requests, count));
     if (masks_ok) {
-        job.unit_weight =
-            batchUnitWeight(job.fn, job.const_requests, count);
-        job.mask_sig = maskSignature(job.fn, job.const_requests, count);
+        job.unit_weight = batchUnitWeight(job.fn, job.requests, count);
+        job.mask_sig = maskSignature(job.fn, job.requests, count);
     }
     const bool tagged = job.deadline_us != sched::kNoDeadline;
     std::lock_guard<std::mutex> lock(mu_);
@@ -495,8 +485,8 @@ DynamicsServer::enqueueJob(Job job, int backend_id)
                     w = std::min(w, competingWeightLocked(j, i));
         j.predicted_done_us =
             now + sched::predictedAdmissionUs(
-                      w, static_cast<int>(probe_pts), j.stages,
-                      task_us_ewma_, 0.0, j.unit_weight);
+                      w, static_cast<int>(probe_pts), task_us_ewma_,
+                      j.unit_weight);
     }
     j.shards = j.remaining = shards;
     if (trace_)
@@ -506,11 +496,8 @@ DynamicsServer::enqueueJob(Job job, int backend_id)
             j.predicted_done_us);
     for (int s = 0; s < shards; ++s) {
         const Shard &sh = placement_[s];
-        // A serial-stage job commits ALL its stages to its lane;
-        // charge the full FD-equivalent debt so later placement
-        // decisions see it.
         lanes_[sh.lane].load_weight +=
-            static_cast<double>(sh.count * j.stages) * j.unit_weight;
+            static_cast<double>(sh.count) * j.unit_weight;
         if (trace_)
             trace_->control().record(
                 obs::EventKind::Enqueued, now, id,
@@ -529,32 +516,9 @@ DynamicsServer::submit(FunctionType fn, const DynamicsRequest *requests,
 {
     Job job;
     job.fn = fn;
-    job.const_requests = requests;
+    job.requests = requests;
     job.results = results;
     job.count = count;
-    job.priority = tag.priority;
-    job.deadline_us = tag.deadline_us;
-    return enqueueJob(std::move(job), backend_id);
-}
-
-int
-DynamicsServer::submitSerialStages(FunctionType fn,
-                                   DynamicsRequest *requests,
-                                   std::size_t points, int stages,
-                                   AdvanceFn advance, void *ctx,
-                                   DynamicsResult *results, int backend_id,
-                                   sched::JobTag tag)
-{
-    assert(stages >= 1);
-    Job job;
-    job.fn = fn;
-    job.requests = requests;
-    job.const_requests = requests;
-    job.results = results;
-    job.count = points;
-    job.stages = stages;
-    job.advance = advance;
-    job.ctx = ctx;
     job.priority = tag.priority;
     job.deadline_us = tag.deadline_us;
     return enqueueJob(std::move(job), backend_id);
@@ -725,17 +689,14 @@ DynamicsServer::serveOne(int lane_id)
         lane.picked_res.clear();
         for (auto it = lane.pick.positions.rbegin();
              it != lane.pick.positions.rend(); ++it) {
-            const WorkItem &w = victim.work[*it];
-            if (jobRef(w.job).stages == 1)
-                --victim.flat_queued;
-            lane.picked.push_back(w);
+            lane.picked.push_back(victim.work[*it]);
             victim.work.erase(victim.work.begin() +
                               static_cast<std::ptrdiff_t>(*it));
         }
         std::reverse(lane.picked.begin(), lane.picked.end());
         for (const WorkItem &item : lane.picked) {
             const Job &job = jobRef(item.job);
-            lane.picked_req.push_back(job.const_requests + item.begin);
+            lane.picked_req.push_back(job.requests + item.begin);
             lane.picked_res.push_back(job.results + item.begin);
             total += item.count;
             if (src != lane_id) {
@@ -869,17 +830,16 @@ DynamicsServer::serveOne(int lane_id)
         }
     }
     if (status == SubmitStatus::InvalidRequest) {
-        // A malformed request (bad seed set) is a CLIENT error: the
-        // lane is healthy, so no retry and no quarantine. Submit-time
-        // validation catches these up front; this arm only fires when
-        // an advance callback builds a bad mask mid-job. The picked
-        // jobs fail explicitly — wait() returns, outcome says why — a
-        // sharded one once its last shard is back.
+        // A malformed request is a CLIENT error: the lane is healthy,
+        // so no retry and no quarantine. Submit-time validation
+        // catches bad masks up front; this arm covers whatever else a
+        // backend rejects. The picked jobs fail explicitly — wait()
+        // returns, outcome says why — a sharded one once its last
+        // shard is back.
         std::lock_guard<std::mutex> lock(mu_);
         for (const WorkItem &item : lane.picked) {
             Job &job = jobRef(item.job);
-            // Its later stages will never run: release all it owes.
-            lane.load_weight -= job.debt(item.count);
+            lane.load_weight -= job.unit_weight * item.count;
             job.failed = true;
             if (--job.remaining == 0)
                 finishLocked(item.job, JobOutcome::Failed, lane_id);
@@ -949,12 +909,8 @@ DynamicsServer::failLane(int lane_id)
                          static_cast<std::int16_t>(lane_id), job.fn,
                          static_cast<std::uint32_t>(dest),
                          static_cast<double>(item.count));
-        // Flat items (including shards) migrate their queued weight;
-        // a lane-sticky serial-stage job restarts its CURRENT stage
-        // on the new lane — completed stages (and the advance calls
-        // between them) are preserved — and moves its remaining
-        // committed stage debt with it.
-        lanes_[dest].load_weight += job.debt(item.count);
+        // The item (a whole job or one shard) migrates its weight.
+        lanes_[dest].load_weight += job.unit_weight * item.count;
         ++sched_stats_.requeued_items;
         pushWork(dest, item);
     };
@@ -966,7 +922,6 @@ DynamicsServer::failLane(int lane_id)
     for (const WorkItem &item : lane.work)
         reroute(item);
     lane.work.clear();
-    lane.flat_queued = 0;
     lane.load_weight = 0.0;
 }
 
@@ -974,101 +929,62 @@ void
 DynamicsServer::completePicked(int lane_id, const BatchStats &stats,
                                std::size_t total)
 {
-    Job *chained = nullptr;
-    int chained_id = 0;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        Lane &lane = lanes_[lane_id];
-        lane.busy_us += stats.total_us;
-        stats_.busy_us += stats.total_us;
-        ++stats_.batches;
-        stats_.tasks += total;
-        // Calibrate the per-task cost admission predictions use: one
-        // EWMA in FD-equivalent units across functions and lanes.
-        if (stats.total_us > 0.0 && total > 0) {
-            const double sample =
-                stats.total_us /
-                (static_cast<double>(total) *
-                 jobRef(lane.picked.front().job).unit_weight);
-            task_us_ewma_ = task_us_ewma_ == 0.0
-                                ? sample
-                                : 0.8 * task_us_ewma_ + 0.2 * sample;
-            if (metrics_)
-                metrics_->set(obs::Gauge::TaskUsEwma, task_us_ewma_);
-        }
-        const bool merged = lane.picked.size() > 1;
-
-        for (const WorkItem &item : lane.picked) {
-            Job &job = jobRef(item.job);
-            lane.load_weight -= job.unit_weight * item.count;
-            // A merged batch charges each job its task-proportional
-            // share of the makespan-like fields; the rate/latency
-            // fields describe the whole merged batch every job rode
-            // in. A solo batch is attributed verbatim (the pre-QoS
-            // accounting, bitwise-identical under default FIFO).
-            BatchStats item_stats = stats;
-            if (merged) {
-                const double frac =
-                    static_cast<double>(item.count) /
-                    static_cast<double>(total);
-                item_stats.cycles = static_cast<std::uint64_t>(
-                    static_cast<double>(stats.cycles) * frac);
-                item_stats.total_us = stats.total_us * frac;
-            }
-            // Shards of one stage overlap in backend time: the stage
-            // costs its slowest shard and its stats merge (max
-            // makespan); stages add up. A single shard's stats are
-            // taken verbatim.
-            if (job.remaining == job.shards)
-                job.last_stats = item_stats;
-            else
-                mergeShardStats(job.last_stats, item_stats);
-            if (--job.remaining > 0)
-                continue;
-            job.busy_us += job.last_stats.total_us;
-            if (job.failed) {
-                // A sibling shard hit InvalidRequest: its last item
-                // is back, so the job ends Failed.
-                finishLocked(item.job, JobOutcome::Failed, lane_id);
-                continue;
-            }
-            ++job.stage;
-            if (trace_ && job.stages > 1)
-                trace_->control().record(
-                    obs::EventKind::StageDone, perf::nowUs(), item.job,
-                    static_cast<std::int16_t>(lane_id), job.fn,
-                    static_cast<std::uint32_t>(job.stage),
-                    static_cast<double>(job.stages));
-            if (job.stage < job.stages) {
-                // Chain the next stage outside the lock (the advance
-                // callback may re-enter submit()). Only this thread
-                // touches the job until its next item is queued, and
-                // jobs_ is a deque, so the pointer stays valid across
-                // concurrent submissions. Serial items are never
-                // merged or stolen, so a chained pick is always a
-                // solo item of this lane.
-                assert(!merged);
-                chained = &job;
-                chained_id = item.job;
-            } else {
-                finishLocked(item.job, JobOutcome::Completed, lane_id);
-            }
-        }
+    std::lock_guard<std::mutex> lock(mu_);
+    Lane &lane = lanes_[lane_id];
+    lane.busy_us += stats.total_us;
+    stats_.busy_us += stats.total_us;
+    ++stats_.batches;
+    stats_.tasks += total;
+    // Calibrate the per-task cost admission predictions use: one
+    // EWMA in FD-equivalent units across functions and lanes.
+    if (stats.total_us > 0.0 && total > 0) {
+        const double sample =
+            stats.total_us /
+            (static_cast<double>(total) *
+             jobRef(lane.picked.front().job).unit_weight);
+        task_us_ewma_ = task_us_ewma_ == 0.0
+                            ? sample
+                            : 0.8 * task_us_ewma_ + 0.2 * sample;
         if (metrics_)
-            metrics_->setLaneLoad(lane_id, lane.load_weight);
+            metrics_->set(obs::Gauge::TaskUsEwma, task_us_ewma_);
     }
-    if (chained) {
-        if (chained->advance)
-            chained->advance(chained->ctx, chained->stage,
-                             chained->results, chained->requests,
-                             chained->count);
-        std::lock_guard<std::mutex> lock(mu_);
-        chained->remaining = chained->shards;
-        // Re-enqueue at the lane's tail: stages of this job stay
-        // ordered, other clients' queued work interleaves between
-        // the stage boundaries.
-        pushWork(lane_id, WorkItem{chained_id, 0, chained->count});
+    const bool merged = lane.picked.size() > 1;
+
+    for (const WorkItem &item : lane.picked) {
+        Job &job = jobRef(item.job);
+        lane.load_weight -= job.unit_weight * item.count;
+        // A merged batch charges each job its task-proportional
+        // share of the makespan-like fields; the rate/latency
+        // fields describe the whole merged batch every job rode
+        // in. A solo batch is attributed verbatim (the pre-QoS
+        // accounting, bitwise-identical under default FIFO).
+        BatchStats item_stats = stats;
+        if (merged) {
+            const double frac =
+                static_cast<double>(item.count) /
+                static_cast<double>(total);
+            item_stats.cycles = static_cast<std::uint64_t>(
+                static_cast<double>(stats.cycles) * frac);
+            item_stats.total_us = stats.total_us * frac;
+        }
+        // Shards of one job overlap in backend time: the job costs
+        // its slowest shard and its stats merge (max makespan). A
+        // single shard's stats are taken verbatim.
+        if (job.remaining == job.shards)
+            job.stats = item_stats;
+        else
+            mergeShardStats(job.stats, item_stats);
+        if (--job.remaining > 0)
+            continue;
+        // Failed when a sibling shard hit InvalidRequest: the job ends
+        // once its last item is back.
+        finishLocked(item.job,
+                     job.failed ? JobOutcome::Failed
+                                : JobOutcome::Completed,
+                     lane_id);
     }
+    if (metrics_)
+        metrics_->setLaneLoad(lane_id, lane.load_weight);
 }
 
 double
@@ -1104,8 +1020,8 @@ void
 DynamicsServer::serveAllSync()
 {
     // Serve lane by lane on the calling thread until no lane holds
-    // work — including work enqueued while serving (reentrant
-    // submits, chained serial stages). The gate makes the whole
+    // work — including work enqueued while serving (concurrent
+    // submits, failed-over items). The gate makes the whole
     // loop exclusive: a second synchronous client blocks here and,
     // once admitted, finds its work already served.
     std::lock_guard<std::mutex> serving(serve_mu_);
@@ -1172,7 +1088,7 @@ DynamicsServer::jobUs(int job) const
     std::lock_guard<std::mutex> lock(mu_);
     if (!issuedLocked(job))
         return 0.0; // retired or never issued: zeroed, not UB
-    return jobRef(job).busy_us;
+    return jobRef(job).stats.total_us;
 }
 
 BatchStats
@@ -1181,7 +1097,7 @@ DynamicsServer::jobStats(int job) const
     std::lock_guard<std::mutex> lock(mu_);
     if (!issuedLocked(job))
         return BatchStats{};
-    return jobRef(job).last_stats;
+    return jobRef(job).stats;
 }
 
 double

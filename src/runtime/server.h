@@ -7,55 +7,46 @@
  * Multiple clients (robots, workloads, benchmark harnesses) enqueue
  * jobs; the server runs them over the registered backends and
  * accounts the makespan in backend time. There is one job model: a
- * job is `stages` x a list of (lane, begin, count) shards of one
- * request batch, and the three submit calls only choose the shape —
+ * job is one flat request batch placed as 1..n (lane, begin, count)
+ * shards, and the two submit calls only choose the placement —
  *
- *  - submit(): a flat batch, 1 x 1, bound to one backend (or to the
+ *  - submit(): one shard, bound to one backend (or to the
  *    least-loaded one via kLeastLoaded);
- *  - submitSharded(): 1 x n, the batch split across ALL healthy
+ *  - submitSharded(): n shards, the batch split across ALL healthy
  *    backends by least-loaded water-filling, the shards executing
- *    concurrently (one per backend lane);
- *  - submitSerialStages() (Fig. 13 of the paper): S x 1, P points x
- *    S stages where stage k+1 of a point consumes stage k's result
- *    of the *same* point. Each stage is ONE batch of all P points —
- *    the pipeline stays full within a stage and the latency is paid
- *    once per stage boundary — and a caller-supplied advance callback
- *    turns stage-k results into stage-(k+1) requests between
- *    submissions. Stages of one job stay ordered, but OTHER clients'
- *    work interleaves between its stage boundaries, so a long rollout
- *    does not monopolize its backend lane.
+ *    concurrently (one per backend lane).
  *
  * Every job goes through one enqueue path (mask validation,
  * placement, admission, trace, lane load) and ends in one terminal
- * helper that books its outcome. One accounting rule covers every
- * shape: the shards of a stage merge to the max makespan, stages add
- * up, and jobStats() is the last stage's merged stats.
+ * helper that books its outcome. One accounting rule covers both
+ * placements: the shards merge to the max makespan, and jobStats()
+ * is the merged stats. Every queued item is a flat slice of one job,
+ * so any item may be coalesced or stolen.
  *
  * QoS scheduling (src/runtime/sched/): what a lane runs next is a
  * pluggable sched::SchedPolicy decision, selected via setPolicy().
  * Jobs optionally carry a sched::JobTag (priority + absolute
  * deadline); the EDF policy pops the earliest-deadline queued item
  * instead of the front, the coalescer merges small same-function
- * flat items of one lane into a single pipeline-filling backend
- * batch (the merged BatchStats split back per job in proportion to
- * task count), and the stealing policy lets a lane with nothing
- * runnable pull queued flat work from a lane stuck behind a long
- * job. The default FIFO policy reproduces the pre-QoS behavior
- * exactly. Lane load is accounted in FD-equivalent task-stages
- * (sched::functionWeight: ∆FD ≈ 1.5x FD), which is what
- * kLeastLoaded and the sharding water-filling balance.
+ * items of one lane into a single pipeline-filling backend batch
+ * (the merged BatchStats split back per job in proportion to task
+ * count), and the stealing policy lets a lane with nothing runnable
+ * pull queued work from a lane stuck behind a long job. The default
+ * FIFO policy reproduces the pre-QoS behavior exactly. Lane load is
+ * accounted in FD-equivalent tasks (sched::functionWeight: ∆FD ≈
+ * 1.5x FD), which is what kLeastLoaded and the sharding
+ * water-filling balance.
  *
  * Fault tolerance (src/runtime/fault.h, sched/admission.h): submit()
  * can now fail. A TransientFailure is retried on the same lane up to
  * SchedConfig::max_retries times (optionally with NaN/inf validation
  * of the batch results folded into the same budget); a BackendDown —
- * or an exhausted budget — quarantines the lane: its queued flat
- * items fail over to healthy siblings and its lane-sticky
- * serial-stage jobs restart their current stage on one, preserving
- * completed stages. Only when NO healthy lane remains does a job get
- * JobOutcome::Failed. An optional AdmissionPolicy sheds work at
- * submission (JobOutcome::Rejected) before it can destroy tagged
- * deadlines; both outcomes are explicit — wait() returns for them.
+ * or an exhausted budget — quarantines the lane: its picked and
+ * queued items fail over to healthy siblings. Only when NO healthy
+ * lane remains does a job get JobOutcome::Failed. An optional
+ * AdmissionPolicy sheds work at submission (JobOutcome::Rejected)
+ * before it can destroy tagged deadlines; both outcomes are explicit
+ * — wait() returns for them.
  *
  * Execution modes:
  *
@@ -175,19 +166,6 @@ class DynamicsServer
     void setAdmission(std::unique_ptr<sched::AdmissionPolicy> policy);
 
     /**
-     * Stage-boundary callback of a serial-stage job: build the
-     * requests of stage @p next_stage (1-based from the second
-     * stage) from the previous stage's @p results, updating
-     * @p requests in place for all @p points. Runs on the worker
-     * thread that completed the previous stage (or on the draining
-     * thread in synchronous mode); it may re-enter submit().
-     */
-    using AdvanceFn = void (*)(void *ctx, int next_stage,
-                               const DynamicsResult *results,
-                               DynamicsRequest *requests,
-                               std::size_t points);
-
-    /**
      * Enqueue a flat batch of @p count requests on backend
      * @p backend_id (kLeastLoaded picks the lane with the least
      * outstanding FD-equivalent work at submission time). Storage
@@ -212,18 +190,6 @@ class DynamicsServer
     int submitSharded(FunctionType fn, const DynamicsRequest *requests,
                       std::size_t count, DynamicsResult *results,
                       sched::JobTag tag = {});
-
-    /**
-     * Enqueue a Fig. 13 serial-stage job: @p stages chained batches
-     * over @p points requests. @p requests is mutated between stages
-     * by @p advance (skipped when advance is null); @p results holds
-     * the final stage's outputs after completion.
-     */
-    int submitSerialStages(FunctionType fn, DynamicsRequest *requests,
-                           std::size_t points, int stages,
-                           AdvanceFn advance, void *ctx,
-                           DynamicsResult *results, int backend_id = 0,
-                           sched::JobTag tag = {});
 
     /**
      * Spawn one worker thread per registered backend; submissions
@@ -269,8 +235,7 @@ class DynamicsServer
      * scheduling policy did over the interval (picks, merges,
      * steals, deadline outcomes).
      * @return the total backend busy time in microseconds since the
-     *         previous drain (excluding host time spent in advance
-     *         callbacks).
+     *         previous drain.
      */
     double drain(ServerStats *stats = nullptr,
                  sched::SchedStats *sstats = nullptr);
@@ -279,27 +244,27 @@ class DynamicsServer
     sched::SchedStats schedStats() const;
 
     /**
-     * Committed FD-equivalent work of one lane (queued task-stages
-     * weighted by sched::functionWeight) — what kLeastLoaded and the
-     * sharding water-filling balance, exposed so admission control
-     * can predict queueing delay before tagging a deadline.
+     * Committed FD-equivalent work of one lane (queued and executing
+     * tasks weighted by sched::functionWeight) — what kLeastLoaded
+     * and the sharding water-filling balance, exposed so admission
+     * control can predict queueing delay before tagging a deadline.
      */
     double laneLoadWeight(int lane) const;
 
     /**
-     * Backend busy time of one completed job (µs): summed over its
-     * stages, each stage the max over its concurrent shards. A job
-     * served inside a coalesced batch is charged its task-proportional
-     * share of the merged batch time. Per-job records are retired by
-     * the second drain() after completion — read before then.
+     * Backend busy time of one completed job (µs): the max over its
+     * concurrent shards. A job served inside a coalesced batch is
+     * charged its task-proportional share of the merged batch time.
+     * Per-job records are retired by the second drain() after
+     * completion — read before then.
      */
     double jobUs(int job) const;
 
     /**
-     * Per-job stats: the last stage's shards merged (max
-     * makespan/cycles, summed stalls; one shard verbatim). For a job
-     * served inside a coalesced batch, the makespan-like fields are
-     * its task-proportional share and the rate/latency fields are the
+     * Per-job stats: the shards merged (max makespan/cycles, summed
+     * stalls; one shard verbatim). For a job served inside a
+     * coalesced batch, the makespan-like fields are its
+     * task-proportional share and the rate/latency fields are the
      * merged batch's. Read after the job completed; a retired record
      * (like jobUs(), second drain() after completion) returns zeroed
      * stats.
@@ -391,16 +356,11 @@ class DynamicsServer
     struct Job
     {
         FunctionType fn{};
-        DynamicsRequest *requests = nullptr;
-        const DynamicsRequest *const_requests = nullptr;
+        const DynamicsRequest *requests = nullptr;
         DynamicsResult *results = nullptr;
         std::size_t count = 0;
-        int stages = 1;
-        AdvanceFn advance = nullptr;
-        void *ctx = nullptr;
-        int stage = 0;          ///< stages completed so far
-        int shards = 1;         ///< work items per stage
-        int remaining = 0;      ///< items of the stage still out
+        int shards = 1;         ///< work items of the placement
+        int remaining = 0;      ///< items still out
         bool failed = false;    ///< an item hit InvalidRequest
         bool done = false;
         JobOutcome outcome = JobOutcome::Pending;
@@ -419,20 +379,11 @@ class DynamicsServer
         std::uint64_t mask_sig = 0;
         double done_at_us = 0.0; ///< wall completion time (done only)
         bool missed = false;     ///< completed after its deadline
-        double busy_us = 0.0;
-        BatchStats last_stats{};
+        BatchStats stats{}; ///< shards merged (jobStats, jobUs)
         // Observability fields; only written when obs is enabled.
         double submit_at_us = 0.0;     ///< wall submission time
         double first_pick_at_us = 0.0; ///< first serve pick (queue wait end)
         double predicted_done_us = 0.0; ///< admission-model completion estimate
-
-        /** FD-equivalent load @p items of this job owe their lane:
-         *  the current stage and every later one. */
-        double debt(std::size_t items) const
-        {
-            return unit_weight * static_cast<double>(items) *
-                   static_cast<double>(stages - stage);
-        }
     };
 
     /** One shard of a job's placement: a slice bound to a lane. */
@@ -453,16 +404,14 @@ class DynamicsServer
 
     /**
      * One backend with its work queue and accounting. load_weight is
-     * the lane's COMMITTED work in FD-equivalent task-stages
-     * (sched::functionWeight), not just the queued items: a
-     * serial-stage job charges points x stages up front (its later
-     * stages are lane-sticky, so the lane owes that work even though
-     * only one stage is queued at a time) and pays one stage's worth
-     * back per completed batch. Each lane has its own worker wakeup
-     * cv so a pushed item wakes only the target lane's worker (all
-     * waits still use the shared mu_; cross-lane policies
-     * additionally wake ONE sleeping lane — flagged by `waiting` —
-     * as a potential thief).
+     * the lane's COMMITTED work in FD-equivalent tasks
+     * (sched::functionWeight): its queued items and the batch it is
+     * executing, each charged at enqueue and paid back when its batch
+     * completes (or moved with it when stolen or failed over). Each
+     * lane has its own worker wakeup cv so a pushed item wakes only
+     * the target lane's worker (all waits still use the shared mu_;
+     * cross-lane policies additionally wake ONE sleeping lane —
+     * flagged by `waiting` — as a potential thief).
      *
      * The pick/picked/gather fields are the serve-step scratch of
      * the ONE thread currently serving this lane (its async worker,
@@ -476,8 +425,7 @@ class DynamicsServer
         std::condition_variable cv;
         bool waiting = false;       ///< worker asleep in cv.wait (async)
         bool healthy = true;        ///< false once quarantined
-        std::size_t flat_queued = 0; ///< stealable items in `work`
-        double load_weight = 0.0; ///< committed FD-equivalent task-stages
+        double load_weight = 0.0; ///< committed FD-equivalent tasks
         double busy_us = 0.0;     ///< accumulated batch time (interval)
         sched::Pick pick;                    ///< policy decision scratch
         std::vector<WorkItem> picked;        ///< items popped this serve
@@ -503,10 +451,6 @@ class DynamicsServer
             return server_->lanes_[lane].work.size();
         }
         sched::ItemView item(int lane, std::size_t pos) const override;
-        std::size_t flatCount(int lane) const override
-        {
-            return server_->lanes_[lane].flat_queued;
-        }
 
       private:
         const DynamicsServer *server_;
@@ -571,23 +515,21 @@ class DynamicsServer
     void stopObsPlane();
     /**
      * Quarantine @p lane after an unrecoverable fault: requeue its
-     * queued and picked items onto healthy siblings (serial-stage
-     * jobs restart their current stage there), fail jobs when no
-     * healthy lane remains.
+     * picked and queued items onto healthy siblings, fail jobs when
+     * no healthy lane remains.
      */
     void failLane(int lane);
     /** Pop + execute one policy pick on @p lane. WITHOUT mu_ held. */
     bool serveOne(int lane);
     /** Batch completion for every item of the lane's current pick:
-     *  accounting, shard merge, stage chaining, job completion. */
+     *  accounting, shard merge, job completion. */
     void completePicked(int lane, const BatchStats &stats,
                         std::size_t total);
     /**
      * Serve every lane on this thread until empty (WITHOUT mu_).
      * Whole-loop exclusive via serve_mu_: concurrent synchronous
      * clients (wait() without start()) serialize here, so a backend
-     * never sees two submitting threads. Do not call from inside an
-     * advance callback (it would self-deadlock on the gate).
+     * never sees two submitting threads.
      */
     void serveAllSync();
     void workerLoop(int lane);
@@ -599,7 +541,7 @@ class DynamicsServer
     std::condition_variable done_cv_; ///< clients: job / queue completion
     std::deque<Lane> lanes_; ///< deque: Lane owns a cv, never moves
     /**
-     * Live job records (deque: stable refs across reentrant submit).
+     * Live job records (deque: retirement pops the front).
      * Job ids are absolute submission indices; jobs_[i] holds id
      * retire_base_ + i. drain() retires records of jobs that were
      * already complete at the PREVIOUS drain, so a long-running

@@ -115,7 +115,7 @@ DynamicsServer::workerLoop(int lane)
             // actual sleep: pushWork spends its single thief
             // notification only on lanes that really are asleep.
             // Under a cross-lane (stealing) policy an idle lane also
-            // wakes for other lanes' flat work: probe the policy
+            // wakes for other lanes' queued work: probe the policy
             // (non-mutating beyond this lane's own pick scratch,
             // which serveOne refreshes anyway).
             // A quarantined lane sleeps until stop(): its queue was
@@ -130,10 +130,9 @@ DynamicsServer::workerLoop(int lane)
                 me.waiting = false;
             }
             // Finish queued work before honoring stop: jobs already
-            // accepted (including chained serial stages, which only
-            // ever re-enqueue on their own lane) complete. Work left
-            // on OTHER lanes belongs to their workers (and to the
-            // straggler pass in stop()), so no stealing past stop.
+            // accepted complete. Work left on OTHER lanes belongs to
+            // their workers (and to the straggler pass in stop()), so
+            // no stealing past stop.
             if (stop_ && (me.work.empty() || !me.healthy))
                 return;
         }

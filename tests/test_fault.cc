@@ -8,9 +8,9 @@
  *  - NaN-corrupted batches are caught by server-side validation and
  *    retried until clean;
  *  - a lane that dies mid-drain fails its work over: unfaulted tasks
- *    keep bitwise-identical results under EDF+steal, lane-sticky
- *    serial-stage jobs restart their current stage on a healthy lane
- *    with completed stages (and their advance calls) preserved;
+ *    keep bitwise-identical results under EDF+steal;
+ *  - a batch the backend rejects as InvalidRequest fails its job
+ *    explicitly without retry or quarantine;
  *  - chaos: one of four lanes killed mid-run under concurrent mixed
  *    traffic — every accepted job completes with correct results;
  *  - admission control sheds bulk on queue depth but never tagged
@@ -158,43 +158,6 @@ class EchoBackend : public runtime::DynamicsBackend
     const RobotModel &robot_;
     double wall_us_;
 };
-
-/** Stage-boundary advance: q̇ ← q̈ + 1 per element, counting calls. */
-struct AdvanceCounter
-{
-    std::atomic<int> calls{0};
-};
-
-void
-advancePlusOne(void *ctx, int, const DynamicsResult *results,
-               DynamicsRequest *requests, std::size_t points)
-{
-    auto *counter = static_cast<AdvanceCounter *>(ctx);
-    counter->calls.fetch_add(1, std::memory_order_relaxed);
-    for (std::size_t p = 0; p < points; ++p) {
-        requests[p].qd = results[p].qdd;
-        for (std::size_t i = 0; i < requests[p].qd.size(); ++i)
-            requests[p].qd[i] += 1.0;
-    }
-}
-
-/** Stage-boundary advance that writes an out-of-range seed at one stage. */
-struct BadSeedAdvance
-{
-    int bad_stage = 0;
-    int nv = 0;
-    std::atomic<int> calls{0};
-};
-
-void
-advanceBadSeed(void *ctx, int next_stage, const DynamicsResult *,
-               DynamicsRequest *requests, std::size_t)
-{
-    auto *adv = static_cast<BadSeedAdvance *>(ctx);
-    adv->calls.fetch_add(1, std::memory_order_relaxed);
-    if (next_stage == adv->bad_stage)
-        requests[0].seed_cols = {adv->nv + 3};
-}
 
 /**
  * Decorator whose lane answers every batch with InvalidRequest — what
@@ -395,11 +358,14 @@ TEST(FaultServer, SiblingLaneDeathMidDrainKeepsResultsBitwise)
     const RobotModel robot = model::makeSerialChain(3);
     const auto reqs = randomRequests(robot, 6, 55);
 
-    EchoBackend lane0(robot);
-    EchoBackend inner1(robot);
+    // The dying lane is lane 0: the synchronous drain serves it
+    // first, so it hits the dead backend with work still owed — the
+    // failover trigger — before lane 1 could steal that work away.
+    EchoBackend inner0(robot);
     FaultPlan plan;
     plan.die_after_batches = 1; // one batch, then dead mid-drain
-    FaultInjectingBackend lane1(inner1, plan);
+    FaultInjectingBackend lane0(inner0, plan);
+    EchoBackend lane1(robot);
 
     DynamicsServer server(lane0);
     server.addBackend(lane1);
@@ -426,20 +392,12 @@ TEST(FaultServer, SiblingLaneDeathMidDrainKeepsResultsBitwise)
         ref_jobs.push_back(ref.submit(FunctionType::FD, reqs.data(), 6,
                                       expect[j].data(), 0, tag));
     }
-    // A lane-sticky serial-stage job pinned to the dying lane: it
-    // cannot be stolen, so lane 1's own serving path must hit the
-    // dead backend with work still owed — the failover trigger.
-    auto sreqs = randomRequests(robot, 3, 56);
-    std::vector<DynamicsResult> sres(3);
-    const int serial = server.submitSerialStages(
-        FunctionType::FD, sreqs.data(), 3, /*stages=*/3,
-        /*advance=*/nullptr, nullptr, sres.data(), /*backend_id=*/1);
     SchedStats sstats;
     server.drain(nullptr, &sstats);
     ref.drain();
 
-    EXPECT_TRUE(server.laneHealthy(0));
-    EXPECT_FALSE(server.laneHealthy(1));
+    EXPECT_FALSE(server.laneHealthy(0));
+    EXPECT_TRUE(server.laneHealthy(1));
     EXPECT_EQ(sstats.lane_deaths, 1u);
     EXPECT_GT(sstats.requeued_items, 0u);
     EXPECT_EQ(sstats.failed_jobs, 0u);
@@ -447,56 +405,6 @@ TEST(FaultServer, SiblingLaneDeathMidDrainKeepsResultsBitwise)
         EXPECT_EQ(server.jobOutcome(jobs[j]), JobOutcome::Completed);
         for (int i = 0; i < 6; ++i)
             expectBitwiseEqual(results[j][i].qdd, expect[j][i].qdd);
-    }
-    // The serial job restarted its interrupted stage on lane 0; with
-    // a null advance every stage echoes the same requests.
-    EXPECT_EQ(server.jobOutcome(serial), JobOutcome::Completed);
-    for (int i = 0; i < 3; ++i)
-        expectBitwiseEqual(sres[i].qdd, sreqs[i].qd);
-}
-
-TEST(FaultServer, SerialStageJobRestartsFromLastCompletedStage)
-{
-    const RobotModel robot = model::makeSerialChain(3);
-    auto reqs = randomRequests(robot, 4, 77);
-    const auto reqs0 = reqs; // advance mutates reqs in place
-
-    EchoBackend inner0(robot);
-    FaultPlan plan;
-    plan.die_after_batches = 2; // stages 1..2 execute, stage 3 kills
-    FaultInjectingBackend lane0(inner0, plan);
-    EchoBackend lane1(robot);
-
-    DynamicsServer server(lane0);
-    server.addBackend(lane1);
-
-    const int kStages = 4;
-    AdvanceCounter counter;
-    std::vector<DynamicsResult> results(4);
-    const int job = server.submitSerialStages(
-        FunctionType::FD, reqs.data(), 4, kStages, advancePlusOne,
-        &counter, results.data(), /*backend_id=*/0);
-    SchedStats sstats;
-    server.drain(nullptr, &sstats);
-
-    EXPECT_FALSE(server.laneHealthy(0));
-    EXPECT_TRUE(server.laneHealthy(1));
-    EXPECT_EQ(sstats.lane_deaths, 1u);
-    EXPECT_EQ(server.jobOutcome(job), JobOutcome::Completed);
-    // Advance runs once per completed stage boundary, never twice:
-    // the failed stage had not advanced yet, so its restart re-runs
-    // the SAME stage on the healthy lane.
-    EXPECT_EQ(counter.calls.load(), kStages - 1);
-    // Echo + (q̇ ← q̈ + 1) per boundary: final q̈ = q̇₀ + (stages-1),
-    // accumulated by the same op sequence so the compare is bitwise.
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_EQ(results[i].qdd.size(), reqs0[i].qd.size());
-        for (std::size_t k = 0; k < results[i].qdd.size(); ++k) {
-            double e = reqs0[i].qd[k];
-            for (int s = 1; s < kStages; ++s)
-                e += 1.0;
-            EXPECT_EQ(results[i].qdd[k], e);
-        }
     }
 }
 
@@ -529,34 +437,29 @@ TEST(FaultServer, AllLanesDeadFailsJobsExplicitly)
     server.wait(job2); // returns immediately
 }
 
-TEST(FaultServer, SerialStageBadSeedMidJobFailsWithoutQuarantine)
+TEST(FaultServer, InvalidBatchFailsJobWithoutQuarantine)
 {
-    // The advance callback builds stage 2 with an out-of-range seed:
-    // the backend answers InvalidRequest, a client error. The job
-    // fails explicitly; the lane is neither retried nor quarantined.
+    // The backend rejects a batch that passed the submit-time check
+    // (InvalidRequest): a client error. The job fails explicitly; the
+    // lane is neither retried nor quarantined.
     const RobotModel robot = model::makeSerialChain(3);
-    accel::Accelerator accel(robot);
-    runtime::AnalyticBackend backend(accel);
+    EchoBackend inner(robot);
+    InvalidRequestBackend backend(inner);
     DynamicsServer server(backend);
     SchedConfig cfg;
     cfg.obs.trace = true;
     server.setPolicy(cfg);
     server.start();
 
-    auto reqs = randomRequests(robot, 4, 81);
-    BadSeedAdvance adv;
-    adv.bad_stage = 2;
-    adv.nv = robot.nv();
+    const auto reqs = randomRequests(robot, 4, 81);
     std::vector<DynamicsResult> results(4);
-    const int job = server.submitSerialStages(
-        FunctionType::DeltaFD, reqs.data(), 4, /*stages=*/4,
-        advanceBadSeed, &adv, results.data());
+    const int job = server.submit(FunctionType::DeltaFD, reqs.data(), 4,
+                                  results.data());
     server.wait(job);
     EXPECT_EQ(server.jobOutcome(job), JobOutcome::Failed);
     EXPECT_EQ(server.pending(), 0u);
     EXPECT_TRUE(server.laneHealthy(0));
-    EXPECT_EQ(adv.calls.load(), 2);
-    // The stages that will never run no longer weigh on the lane.
+    // The failed batch no longer weighs on the lane.
     EXPECT_DOUBLE_EQ(server.laneLoadWeight(0), 0.0);
 
     runtime::ServerStats stats;
@@ -643,15 +546,13 @@ TEST(FaultServer, ChaosKillOneOfFourLanesEveryAcceptedJobCompletes)
             std::mt19937 rng(900u + c);
             auto reqs = randomRequests(robot, 16, 40u + c);
             std::vector<DynamicsResult> results(16);
-            AdvanceCounter counter;
             for (int j = 0; j < kJobsPerClient; ++j) {
-                const int shape = j % 3;
                 int job;
-                if (shape == 0) {
+                if (j % 2 == 0) {
                     // Flat batch, random size and lane, some tagged.
                     const std::size_t n = 1 + rng() % 8;
                     JobTag tag;
-                    if (j % 2)
+                    if (j % 4)
                         tag.deadline_us = perf::nowUs() + 5e5;
                     job = server.submit(FunctionType::FD, reqs.data(), n,
                                         results.data(),
@@ -665,7 +566,7 @@ TEST(FaultServer, ChaosKillOneOfFourLanesEveryAcceptedJobCompletes)
                                  k < results[i].qdd.size(); ++k)
                                 if (results[i].qdd[k] != reqs[i].qd[k])
                                     ++bad_results;
-                } else if (shape == 1) {
+                } else {
                     // Sharded across every healthy lane.
                     job = server.submitSharded(FunctionType::FD,
                                                reqs.data(), 16,
@@ -679,30 +580,6 @@ TEST(FaultServer, ChaosKillOneOfFourLanesEveryAcceptedJobCompletes)
                                  k < results[i].qdd.size(); ++k)
                                 if (results[i].qdd[k] != reqs[i].qd[k])
                                     ++bad_results;
-                } else {
-                    // Lane-sticky serial-stage job.
-                    auto sreqs = randomRequests(robot, 4, 60u + j);
-                    const auto sreqs0 = sreqs;
-                    std::vector<DynamicsResult> sres(4);
-                    job = server.submitSerialStages(
-                        FunctionType::FD, sreqs.data(), 4, 3,
-                        advancePlusOne, &counter, sres.data(),
-                        DynamicsServer::kLeastLoaded);
-                    server.wait(job);
-                    if (server.jobOutcome(job) != JobOutcome::Completed)
-                        ++bad_outcomes;
-                    else
-                        for (int i = 0; i < 4; ++i)
-                            for (std::size_t k = 0;
-                                 k < sres[i].qdd.size(); ++k) {
-                                // Same op sequence as the advance
-                                // chain, so the compare is bitwise.
-                                double e = sreqs0[i].qd[k];
-                                e += 1.0;
-                                e += 1.0;
-                                if (sres[i].qdd[k] != e)
-                                    ++bad_results;
-                            }
                 }
             }
         });

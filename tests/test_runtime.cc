@@ -5,13 +5,13 @@
  *  - backend equivalence: CpuBatchedBackend results bitwise-match
  *    the direct algo:: workspace kernels, AcceleratorBackend results
  *    bitwise-match Accelerator::run();
- *  - DynamicsServer: FIFO multi-client accounting, serial-stage
- *    chaining semantics, and the executable Fig. 13 makespan against
- *    the closed-form app::scheduleSerialStagesUs model;
+ *  - DynamicsServer: FIFO multi-client accounting, sharding, and the
+ *    executable sharded makespan against the closed-form
+ *    app::scheduleShardedUs model;
  *  - a counted global allocator shows steady-state CPU-backend
  *    submission performs zero heap allocations;
- *  - a serial-stage rollout reaches the same results on every
- *    backend.
+ *  - a host-driven rollout of flat submits reaches the same results
+ *    on every backend.
  */
 
 #include <gtest/gtest.h>
@@ -411,79 +411,6 @@ TEST(DynamicsServer, FifoMultiClientAccounting)
         expectBitwiseEqual(res_b[i].qdd, reqs_b[i].qd);
 }
 
-namespace serialstage {
-
-/** Counts advance invocations; doubles q̇ every stage boundary. */
-void
-advance(void *ctx, int /*next_stage*/, const DynamicsResult *results,
-        DynamicsRequest *requests, std::size_t points)
-{
-    ++*static_cast<int *>(ctx);
-    for (std::size_t p = 0; p < points; ++p) {
-        requests[p].qd = results[p].qdd;
-        for (std::size_t j = 0; j < requests[p].qd.size(); ++j)
-            requests[p].qd[j] *= 2.0;
-    }
-}
-
-} // namespace serialstage
-
-TEST(DynamicsServer, SerialStagesChainAndCostPerStage)
-{
-    const RobotModel robot = model::makeHyq();
-    FixedCostBackend backend(robot, 7.0);
-    runtime::DynamicsServer server(backend);
-
-    auto reqs = randomRequests(robot, 5, 3);
-    const auto qd0 = reqs[2].qd;
-    std::vector<DynamicsResult> res(5);
-    int advances = 0;
-    const int job = server.submitSerialStages(
-        FunctionType::FD, reqs.data(), 5, 4, &serialstage::advance,
-        &advances, res.data());
-    server.drain();
-
-    // Four stage batches, three stage boundaries.
-    EXPECT_EQ(backend.batches(), 4);
-    EXPECT_EQ(advances, 3);
-    EXPECT_DOUBLE_EQ(server.jobUs(job), 4 * 7.0);
-
-    // The echo backend + doubling advance chain: each boundary sets
-    // q̇ <- 2 q̈ = 2 q̇, so the final q̈ is 2^3 the initial q̇.
-    for (std::size_t j = 0; j < qd0.size(); ++j)
-        EXPECT_EQ(res[2].qdd[j], 8.0 * qd0[j]);
-}
-
-TEST(DynamicsServer, ExecutedSerialStageMakespanMatchesFormula)
-{
-    // The Fig. 13 claim, now executable: a points x stages job on
-    // the cycle-accurate simulator lands near the closed-form
-    // schedule model stages·(points·II + latency).
-    const RobotModel robot = model::makeIiwa();
-    accel::Accelerator accel(robot);
-    runtime::AcceleratorBackend backend(accel);
-    runtime::DynamicsServer server(backend);
-
-    const int points = 32, stages = 4;
-    auto reqs = randomRequests(robot, points, 9);
-    std::vector<DynamicsResult> res(points);
-    const int job = server.submitSerialStages(FunctionType::FD,
-                                              reqs.data(), points, stages,
-                                              nullptr, nullptr, res.data());
-    server.drain();
-
-    const auto est = accel.analytic(FunctionType::FD);
-    const double model_us = app::scheduleSerialStagesUs(
-        points, stages, est.ii_cycles, est.latency_cycles,
-        accel.config().freq_mhz);
-    const double executed_us = server.jobUs(job);
-    EXPECT_GT(executed_us, 0.0);
-    // Both sides are deterministic (simulated cycles vs the closed
-    // form), so the band can be tight: within 15%.
-    EXPECT_NEAR(executed_us / model_us, 1.0, 0.15)
-        << "executed " << executed_us << " us vs model " << model_us;
-}
-
 TEST(DynamicsServer, SyncWaitServesInlineWithoutConsumingTheInterval)
 {
     // wait() on a never-start()ed server serves inline but must not
@@ -512,66 +439,6 @@ TEST(DynamicsServer, SyncWaitServesInlineWithoutConsumingTheInterval)
     EXPECT_DOUBLE_EQ(server.drain(&stats), 8.0);
     EXPECT_EQ(stats.jobs, 2u);
     EXPECT_EQ(stats.tasks, 6u);
-}
-
-TEST(DynamicsServer, ReentrantSubmitFromAdvanceCallback)
-{
-    // Regression: the pre-async drain() held `Job &job = queue_[next_]`
-    // across the advance callback, so a reentrant submit() could
-    // reallocate the job vector and leave the reference (and the
-    // backend's stats pointer) dangling. Jobs now live in a deque and
-    // the serving loop never holds a reference across a callback, so
-    // submitting from inside an advance callback is defined — and the
-    // inner job must be served by the same drain.
-    const RobotModel robot = model::makeHyq();
-    FixedCostBackend backend(robot, 3.0);
-    runtime::DynamicsServer server(backend);
-
-    struct Ctx
-    {
-        runtime::DynamicsServer *server;
-        std::vector<DynamicsRequest> inner_req;
-        std::vector<DynamicsResult> inner_res;
-        int inner_job = -1;
-        int advances = 0;
-    } ctx;
-    ctx.server = &server;
-    ctx.inner_req = randomRequests(robot, 6, 41);
-    ctx.inner_res.resize(6);
-
-    auto advance = [](void *vctx, int /*next_stage*/,
-                      const DynamicsResult *results,
-                      DynamicsRequest *requests, std::size_t points) {
-        auto *c = static_cast<Ctx *>(vctx);
-        if (c->advances++ == 0) {
-            // Reentrant submission mid-drain, mid-job. Enough jobs to
-            // force a small-vector reallocation in the old layout.
-            for (int i = 0; i < 8; ++i)
-                c->inner_job = c->server->submit(
-                    FunctionType::FD, c->inner_req.data(), 6,
-                    c->inner_res.data());
-        }
-        for (std::size_t p = 0; p < points; ++p)
-            requests[p].qd = results[p].qdd;
-    };
-
-    auto reqs = randomRequests(robot, 5, 42);
-    std::vector<DynamicsResult> res(5);
-    const int outer = server.submitSerialStages(
-        FunctionType::FD, reqs.data(), 5, 3, advance, &ctx, res.data());
-
-    runtime::ServerStats stats;
-    server.drain(&stats);
-    EXPECT_EQ(ctx.advances, 2);
-    EXPECT_TRUE(server.jobDone(outer));
-    ASSERT_GE(ctx.inner_job, 0);
-    EXPECT_TRUE(server.jobDone(ctx.inner_job));
-    // 3 outer stage batches + 8 inner jobs, all accounted.
-    EXPECT_EQ(stats.jobs, 9u);
-    EXPECT_EQ(stats.batches, 11u);
-    EXPECT_DOUBLE_EQ(server.jobUs(outer), 3 * 3.0);
-    for (int i = 0; i < 6; ++i)
-        expectBitwiseEqual(ctx.inner_res[i].qdd, ctx.inner_req[i].qd);
 }
 
 // ---------------------------------------------------------------------
@@ -819,20 +686,19 @@ TEST(DynamicsServer, ShardedExecutionMatchesShardedScheduleModel)
 
 TEST(DynamicsServer, ConcurrentClientsMatchSynchronousBitwise)
 {
-    // M client threads x K backend lanes, flat sharded + serial-stage
+    // M client threads x K backend lanes, sharded + least-loaded flat
     // jobs mixed: results must be bitwise-identical to the same jobs
     // served synchronously, and the job/task accounting must sum.
     const RobotModel robot = model::makeIiwa();
     accel::Accelerator accel(robot);
     runtime::AnalyticBackend base(accel);
 
-    constexpr int kClients = 4, kRounds = 3, kPoints = 6, kStages = 3;
+    constexpr int kClients = 4, kRounds = 3, kPoints = 6;
 
     struct ClientData
     {
-        std::vector<DynamicsRequest> flat_req, serial_req;
-        std::vector<DynamicsResult> flat_res, serial_res;
-        int advances = 0;
+        std::vector<DynamicsRequest> sharded_req, flat_req;
+        std::vector<DynamicsResult> sharded_res, flat_res;
     };
 
     auto makeRequests = [&](int client) {
@@ -845,17 +711,14 @@ TEST(DynamicsServer, ConcurrentClientsMatchSynchronousBitwise)
     for (int c = 0; c < kClients; ++c) {
         runtime::AnalyticBackend backend(accel);
         runtime::DynamicsServer server(backend);
+        ref[c].sharded_req = makeRequests(c);
         ref[c].flat_req = makeRequests(c);
-        ref[c].serial_req = makeRequests(c);
+        ref[c].sharded_res.resize(kPoints);
         ref[c].flat_res.resize(kPoints);
-        ref[c].serial_res.resize(kPoints);
-        server.submit(FunctionType::DeltaFD, ref[c].flat_req.data(),
-                      kPoints, ref[c].flat_res.data());
-        server.submitSerialStages(FunctionType::FD,
-                                  ref[c].serial_req.data(), kPoints,
-                                  kStages, &serialstage::advance,
-                                  &ref[c].advances,
-                                  ref[c].serial_res.data());
+        server.submit(FunctionType::DeltaFD, ref[c].sharded_req.data(),
+                      kPoints, ref[c].sharded_res.data());
+        server.submit(FunctionType::FD, ref[c].flat_req.data(), kPoints,
+                      ref[c].flat_res.data());
         server.drain();
     }
 
@@ -874,20 +737,19 @@ TEST(DynamicsServer, ConcurrentClientsMatchSynchronousBitwise)
         clients.emplace_back([&, c] {
             for (int r = 0; r < kRounds; ++r) {
                 ClientData data;
+                data.sharded_req = makeRequests(c);
                 data.flat_req = makeRequests(c);
-                data.serial_req = makeRequests(c);
+                data.sharded_res.resize(kPoints);
                 data.flat_res.resize(kPoints);
-                data.serial_res.resize(kPoints);
-                const int flat = server.submitSharded(
-                    FunctionType::DeltaFD, data.flat_req.data(), kPoints,
-                    data.flat_res.data());
-                const int serial = server.submitSerialStages(
-                    FunctionType::FD, data.serial_req.data(), kPoints,
-                    kStages, &serialstage::advance, &data.advances,
-                    data.serial_res.data(),
+                const int sharded = server.submitSharded(
+                    FunctionType::DeltaFD, data.sharded_req.data(),
+                    kPoints, data.sharded_res.data());
+                const int flat = server.submit(
+                    FunctionType::FD, data.flat_req.data(), kPoints,
+                    data.flat_res.data(),
                     runtime::DynamicsServer::kLeastLoaded);
+                server.wait(sharded);
                 server.wait(flat);
-                server.wait(serial);
                 got[c] = std::move(data);
             }
         });
@@ -900,20 +762,18 @@ TEST(DynamicsServer, ConcurrentClientsMatchSynchronousBitwise)
     server.drain(&stats);
     EXPECT_EQ(stats.jobs,
               static_cast<std::size_t>(kClients * kRounds * 2));
-    EXPECT_EQ(stats.tasks, static_cast<std::size_t>(
-                               kClients * kRounds *
-                               (kPoints + kPoints * kStages)));
+    EXPECT_EQ(stats.tasks,
+              static_cast<std::size_t>(kClients * kRounds * 2 * kPoints));
     EXPECT_GE(stats.busy_us, stats.makespan_us);
 
     for (int c = 0; c < kClients; ++c) {
-        EXPECT_EQ(got[c].advances, kStages - 1);
         for (int p = 0; p < kPoints; ++p) {
+            expectBitwiseEqual(got[c].sharded_res[p].qdd,
+                               ref[c].sharded_res[p].qdd);
+            expectBitwiseEqual(got[c].sharded_res[p].dqdd_dq,
+                               ref[c].sharded_res[p].dqdd_dq);
             expectBitwiseEqual(got[c].flat_res[p].qdd,
                                ref[c].flat_res[p].qdd);
-            expectBitwiseEqual(got[c].flat_res[p].dqdd_dq,
-                               ref[c].flat_res[p].dqdd_dq);
-            expectBitwiseEqual(got[c].serial_res[p].qdd,
-                               ref[c].serial_res[p].qdd);
         }
     }
 }
@@ -1007,30 +867,40 @@ TEST(CpuBatchedBackend, SteadyStateSubmissionIsAllocationFree)
 
 TEST(MpcRuntime, AllBackendsProduceSameRolloutResults)
 {
-    // The serial-stage job really executes on every backend: the
-    // final-stage FD results agree across CPU, simulator and
-    // analytic backends (approximately — the simulator's functional
-    // core models the fixed-point hardware datapath).
+    // A host-driven rollout really executes on every backend: 3 flat
+    // FD submits, each step setting q̇ <- 2 q̈ from the previous
+    // results. The final-step FD results agree across CPU, simulator
+    // and analytic backends (approximately — the simulator's
+    // functional core models the fixed-point hardware datapath).
     const auto robot = model::makeIiwa();
     accel::Accelerator accel(robot);
     runtime::CpuBatchedBackend cpu(robot, 2);
     runtime::AcceleratorBackend sim(accel);
     runtime::AnalyticBackend analytic(accel);
 
-    const int points = 4, stages = 3;
+    const int points = 4, steps = 3;
     std::vector<std::vector<DynamicsResult>> finals;
     for (runtime::DynamicsBackend *backend :
          std::initializer_list<runtime::DynamicsBackend *>{&cpu, &sim,
                                                            &analytic}) {
         auto reqs = randomRequests(robot, points, 31);
         std::vector<DynamicsResult> res(points);
-        int advances = 0;
         runtime::DynamicsServer server(*backend);
-        server.submitSerialStages(FunctionType::FD, reqs.data(), points,
-                                  stages, &serialstage::advance, &advances,
-                                  res.data());
+        for (int step = 0; step < steps; ++step) {
+            if (step > 0) {
+                for (int p = 0; p < points; ++p) {
+                    reqs[p].qd = res[p].qdd;
+                    for (std::size_t j = 0; j < reqs[p].qd.size(); ++j)
+                        reqs[p].qd[j] *= 2.0;
+                }
+            }
+            const int job = server.submit(FunctionType::FD, reqs.data(),
+                                          points, res.data());
+            server.wait(job);
+            EXPECT_EQ(server.jobOutcome(job),
+                      runtime::JobOutcome::Completed);
+        }
         server.drain();
-        EXPECT_EQ(advances, stages - 1);
         finals.push_back(res);
     }
     for (int p = 0; p < points; ++p) {

@@ -11,8 +11,8 @@
  *  - the coalescer merges small same-function flat batches from
  *    different clients into one backend batch and splits the merged
  *    BatchStats back per job;
- *  - an idle lane steals queued flat work from a lane stuck behind a
- *    long serial-stage job (and never steals the serial job itself);
+ *  - an idle lane steals queued work from a lane stuck behind a long
+ *    job;
  *  - starvation/fairness property: with a saturating bulk client
  *    under EDF, every deadline-tagged job completes and lands in
  *    exactly one of SchedStats::deadline_met / deadline_misses — no
@@ -155,13 +155,6 @@ class FakeQueue : public runtime::sched::QueueView
     {
         return items_[lane][pos];
     }
-    std::size_t flatCount(int lane) const override
-    {
-        std::size_t n = 0;
-        for (const auto &it : items_[lane])
-            n += it.flat ? 1 : 0;
-        return n;
-    }
 
   private:
     std::vector<std::vector<runtime::sched::ItemView>> items_;
@@ -177,7 +170,6 @@ flatItem(FunctionType fn, std::size_t count,
     v.count = count;
     v.deadline_us = deadline;
     v.priority = priority;
-    v.flat = true;
     return v;
 }
 
@@ -219,14 +211,9 @@ TEST(SchedPolicy, CoalesceMergesOnlySmallSameFnFlatWithinCaps)
     q.push(0, flatItem(FunctionType::FD, 6));   // merges (total 10)
     q.push(0, flatItem(FunctionType::Minv, 4)); // other fn: skipped
     q.push(0, flatItem(FunctionType::FD, kCoalesceOnlyBelow)); // too big
-    {
-        auto serial = flatItem(FunctionType::FD, 4);
-        serial.flat = false; // serial-stage item: never merged
-        q.push(0, serial);
-    }
     std::vector<std::size_t> expected = {0, 1};
     std::size_t total = 10;
-    std::size_t pos = 5;
+    std::size_t pos = 4;
     for (; total + small <= kCoalesceMaxTasks; ++pos, total += small) {
         q.push(0, flatItem(FunctionType::FD, small)); // merges
         expected.push_back(pos);
@@ -261,37 +248,29 @@ TEST(SchedPolicy, CoalesceStopsAtItemCap)
         EXPECT_EQ(pick.positions[i], i);
 }
 
-TEST(SchedPolicy, StealTakesFlatWorkOnlyAndOnlyWhenIdle)
+TEST(SchedPolicy, StealTakesEarliestDeadlineWorkOnlyWhenIdle)
 {
     SchedConfig cfg;
     cfg.steal = true;
     FakeQueue q(2);
-    {
-        auto serial = flatItem(FunctionType::FD, 4, 100.0);
-        serial.flat = false;
-        q.push(0, serial); // urgent but serial: not stealable
-    }
     q.push(0, flatItem(FunctionType::FD, 8, 900.0));
     q.push(0, flatItem(FunctionType::FD, 8, 500.0));
 
     auto policy = runtime::sched::makePolicy(cfg);
     EXPECT_TRUE(policy->crossLane());
     runtime::sched::Pick pick;
-    // Lane 1 is empty: steals the earliest-deadline FLAT item of 0.
+    // Lane 1 is empty: steals the earliest-deadline item of 0.
     ASSERT_TRUE(policy->pick(q, 1, pick));
     EXPECT_EQ(pick.lane, 0);
     ASSERT_EQ(pick.positions.size(), 1u);
-    EXPECT_EQ(pick.positions[0], 2u);
+    EXPECT_EQ(pick.positions[0], 1u);
     // Lane 0 serves its own queue (FIFO base): no steal.
     ASSERT_TRUE(policy->pick(q, 0, pick));
     EXPECT_EQ(pick.lane, 0);
     EXPECT_EQ(pick.positions[0], 0u);
 
-    // A queue with only serial work offers nothing to a thief.
+    // Empty queues offer nothing to a thief.
     FakeQueue q2(2);
-    auto serial = flatItem(FunctionType::FD, 4);
-    serial.flat = false;
-    q2.push(0, serial);
     EXPECT_FALSE(policy->pick(q2, 1, pick));
 }
 
@@ -299,42 +278,24 @@ TEST(SchedPolicy, StealTakesFlatWorkOnlyAndOnlyWhenIdle)
 // Acceptance: default-FIFO sync drain() == async path, bitwise
 // ---------------------------------------------------------------------
 
-namespace doubling {
-
-void
-advance(void *ctx, int /*next_stage*/, const DynamicsResult *results,
-        DynamicsRequest *requests, std::size_t points)
-{
-    ++*static_cast<int *>(ctx);
-    for (std::size_t p = 0; p < points; ++p) {
-        requests[p].qd = results[p].qdd;
-        for (std::size_t j = 0; j < requests[p].qd.size(); ++j)
-            requests[p].qd[j] *= 2.0;
-    }
-}
-
-} // namespace doubling
-
 TEST(SchedQos, FifoSyncDrainBitwiseIdenticalToAsync)
 {
-    // The same deterministic job set — flat batches on both lanes, a
-    // sharded batch, a serial-stage job — queued identically on two
-    // 2-lane servers; one drains synchronously, the other executes
-    // on worker threads. Default FIFO must make results AND interval
-    // accounting bitwise-identical.
+    // The same deterministic job set — flat batches on both lanes and
+    // a sharded batch — queued identically on two 2-lane servers; one
+    // drains synchronously, the other executes on worker threads.
+    // Default FIFO must make results AND interval accounting
+    // bitwise-identical.
     const RobotModel robot = model::makeHyq();
     const auto flat_a = randomRequests(robot, 6, 1);
     const auto flat_b = randomRequests(robot, 9, 2);
     const auto shard_src = randomRequests(robot, 24, 3);
-    const auto serial_src = randomRequests(robot, 5, 4);
 
     struct Run
     {
         runtime::ServerStats stats;
         SchedStats sstats;
-        std::vector<DynamicsResult> ra, rb, rs, rr;
-        double job_us[4] = {0, 0, 0, 0};
-        int advances = 0;
+        std::vector<DynamicsResult> ra, rb, rs;
+        double job_us[3] = {0, 0, 0};
     };
     auto execute = [&](bool async) {
         Run run;
@@ -345,8 +306,6 @@ TEST(SchedQos, FifoSyncDrainBitwiseIdenticalToAsync)
         run.ra.resize(6);
         run.rb.resize(9);
         run.rs.resize(24);
-        run.rr.resize(5);
-        auto serial_req = serial_src;
         // Queue everything BEFORE execution starts, so the sharding
         // water-filling sees identical lane loads on both paths.
         const int ja = server.submit(FunctionType::FD, flat_a.data(), 6,
@@ -355,16 +314,13 @@ TEST(SchedQos, FifoSyncDrainBitwiseIdenticalToAsync)
                                      run.rb.data(), 1);
         const int js = server.submitSharded(
             FunctionType::DeltaFD, shard_src.data(), 24, run.rs.data());
-        const int jr = server.submitSerialStages(
-            FunctionType::FD, serial_req.data(), 5, 3,
-            &doubling::advance, &run.advances, run.rr.data(), 0);
         if (async) {
             server.start();
             server.stop();
         }
         server.drain(&run.stats, &run.sstats);
-        const int ids[4] = {ja, jb, js, jr};
-        for (int i = 0; i < 4; ++i)
+        const int ids[3] = {ja, jb, js};
+        for (int i = 0; i < 3; ++i)
             run.job_us[i] = server.jobUs(ids[i]);
         return run;
     };
@@ -372,8 +328,6 @@ TEST(SchedQos, FifoSyncDrainBitwiseIdenticalToAsync)
     const Run sync = execute(false);
     const Run async = execute(true);
 
-    EXPECT_EQ(sync.advances, 2);
-    EXPECT_EQ(async.advances, 2);
     EXPECT_DOUBLE_EQ(sync.stats.busy_us, async.stats.busy_us);
     EXPECT_DOUBLE_EQ(sync.stats.makespan_us, async.stats.makespan_us);
     EXPECT_EQ(sync.stats.jobs, async.stats.jobs);
@@ -384,7 +338,7 @@ TEST(SchedQos, FifoSyncDrainBitwiseIdenticalToAsync)
     EXPECT_EQ(async.sstats.coalesced_batches, 0u);
     EXPECT_EQ(sync.sstats.steals, 0u);
     EXPECT_EQ(async.sstats.steals, 0u);
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < 3; ++i)
         EXPECT_DOUBLE_EQ(sync.job_us[i], async.job_us[i]);
     for (int i = 0; i < 6; ++i)
         expectBitwiseEqual(sync.ra[i].qdd, async.ra[i].qdd);
@@ -392,8 +346,6 @@ TEST(SchedQos, FifoSyncDrainBitwiseIdenticalToAsync)
         expectBitwiseEqual(sync.rb[i].qdd, async.rb[i].qdd);
     for (int i = 0; i < 24; ++i)
         expectBitwiseEqual(sync.rs[i].qdd, async.rs[i].qdd);
-    for (int i = 0; i < 5; ++i)
-        expectBitwiseEqual(sync.rr[i].qdd, async.rr[i].qdd);
 }
 
 // ---------------------------------------------------------------------
@@ -530,49 +482,51 @@ TEST(SchedQos, CoalesceMergesSmallFlatBatchesAndSplitsStats)
 // Work stealing through the server
 // ---------------------------------------------------------------------
 
-TEST(SchedQos, IdleLaneStealsQueuedFlatWorkBehindSerialJob)
+TEST(SchedQos, IdleLaneStealsQueuedWorkBehindLongJob)
 {
     const RobotModel robot = model::makeHyq();
     RecordingBackend b0(robot, 5.0, 1.0);
     RecordingBackend b1(robot, 5.0, 1.0);
-    b0.setWallUsPerBatch(30000.0); // 30 ms per batch: lane 0 is slow
+    // 30 ms per batch on both lanes: whichever worker locks the
+    // queue first, the other picks while that batch still runs.
+    b0.setWallUsPerBatch(30000.0);
+    b1.setWallUsPerBatch(30000.0);
     runtime::DynamicsServer server(b0);
     server.addBackend(b1);
     SchedConfig cfg;
     cfg.steal = true;
     server.setPolicy(cfg);
-    server.start();
 
-    // A 4-stage serial job occupies lane 0...
-    auto serial_req = randomRequests(robot, 4, 31);
-    std::vector<DynamicsResult> serial_res(4);
-    int advances = 0;
-    const int js = server.submitSerialStages(
-        FunctionType::FD, serial_req.data(), 4, 4, &doubling::advance,
-        &advances, serial_res.data(), 0);
-    // ... wait until its first batch is really executing, then queue
-    // flat work behind it on the SAME lane.
-    while (!b0.inBatch())
-        std::this_thread::yield();
+    // A long job heads lane 0's queue and a 6-task job waits behind
+    // it on the SAME lane. Lane 0 serves its FIFO front; a thief
+    // takes the EDF-best item, which the 6-task job's priority makes
+    // it, so idle lane 1 takes the 6-task job.
+    auto long_req = randomRequests(robot, 4, 31);
+    std::vector<DynamicsResult> long_res(4);
+    const int jl = server.submit(FunctionType::FD, long_req.data(), 4,
+                                 long_res.data(), 0);
     auto flat = randomRequests(robot, 6, 32);
     std::vector<DynamicsResult> flat_res(6);
+    JobTag urgent;
+    urgent.priority = 1;
     const int jf = server.submit(FunctionType::FD, flat.data(), 6,
-                                 flat_res.data(), 0);
+                                 flat_res.data(), 0, urgent);
+    server.start();
     server.wait(jf);
-    server.wait(js);
+    server.wait(jl);
     server.stop();
 
     runtime::ServerStats stats;
     SchedStats sstats;
     server.drain(&stats, &sstats);
 
-    // The idle lane pulled the flat job; the serial job's four
-    // stages all stayed on lane 0.
+    // The idle lane pulled the 6-task job; the long job stayed on
+    // lane 0.
     ASSERT_EQ(b1.batchCounts().size(), 1u);
     EXPECT_EQ(b1.batchCounts()[0], 6u);
-    EXPECT_EQ(b0.batchCounts().size(), 4u);
+    ASSERT_EQ(b0.batchCounts().size(), 1u);
+    EXPECT_EQ(b0.batchCounts()[0], 4u);
     EXPECT_EQ(sstats.steals, 1u);
-    EXPECT_EQ(advances, 3);
     for (int i = 0; i < 6; ++i)
         expectBitwiseEqual(flat_res[i].qdd, flat[i].qd);
     // Load accounting drained to zero on both lanes.
@@ -666,7 +620,7 @@ TEST(SchedQos, EveryTaggedJobCompletesOrIsReportedMissed)
 }
 
 // ---------------------------------------------------------------------
-// Deadline tags through sharded and serial-stage jobs
+// Deadline tags through sharded jobs
 // ---------------------------------------------------------------------
 
 TEST(SchedQos, DeadlineTagPropagatesToEveryShardUnderEdf)
@@ -711,47 +665,7 @@ TEST(SchedQos, DeadlineTagPropagatesToEveryShardUnderEdf)
     EXPECT_EQ(lane1.batchCounts()[1], 32u);
 }
 
-TEST(SchedQos, SerialStageResubmissionsKeepTheDeadline)
-{
-    // A tagged 3-stage serial job against queued untagged bulk on
-    // one lane: every stage re-submission must carry the tag, so
-    // stages 2 and 3 also overtake the bulk batches under EDF.
-    const auto robot = model::makeSerialChain(3);
-    RecordingBackend lane(robot, 5.0, 2.0);
-    runtime::DynamicsServer server(lane);
-    SchedConfig cfg;
-    cfg.kind = PolicyKind::Edf;
-    server.setPolicy(cfg);
-
-    const auto bulk = randomRequests(robot, 16, 3);
-    std::vector<DynamicsResult> bulk_res0(16), bulk_res1(16);
-    server.submit(FunctionType::FD, bulk.data(), 16, bulk_res0.data());
-    server.submit(FunctionType::FD, bulk.data(), 16, bulk_res1.data());
-
-    auto serial = randomRequests(robot, 4, 4);
-    std::vector<DynamicsResult> serial_res(4);
-    JobTag tag;
-    tag.deadline_us = perf::nowUs() + 1e6;
-    const int job = server.submitSerialStages(
-        FunctionType::FD, serial.data(), 4, 3, nullptr, nullptr,
-        serial_res.data(), 0, tag);
-    server.drain();
-
-    EXPECT_TRUE(server.jobDone(job));
-    // All three 4-task stages run before the two 16-task bulk
-    // batches (the first pick happens before the serial job's later
-    // stages exist, so this only holds when the tag propagates to
-    // every stage re-submission).
-    const std::vector<std::size_t> &counts = lane.batchCounts();
-    ASSERT_EQ(counts.size(), 5u);
-    EXPECT_EQ(counts[0], 4u);
-    EXPECT_EQ(counts[1], 4u);
-    EXPECT_EQ(counts[2], 4u);
-    EXPECT_EQ(counts[3], 16u);
-    EXPECT_EQ(counts[4], 16u);
-}
-
-TEST(SchedQos, LateShardedOrSerialJobIsMissedExactlyOnce)
+TEST(SchedQos, LateShardedJobIsMissedExactlyOnce)
 {
     // A sharded job completes when its LAST shard does, so a
     // deadline miss marks the whole job — once, not per shard.
@@ -772,27 +686,6 @@ TEST(SchedQos, LateShardedOrSerialJobIsMissedExactlyOnce)
     EXPECT_TRUE(server.jobMissedDeadline(missed));
     EXPECT_EQ(s1.deadline_misses, 1u);
     EXPECT_EQ(s1.deadline_met, 0u);
-
-    JobTag generous;
-    generous.deadline_us = perf::nowUs() + 60e6;
-    auto serial = randomRequests(robot, 4, 6);
-    std::vector<DynamicsResult> serial_res(4);
-    const int met = server.submitSerialStages(
-        FunctionType::FD, serial.data(), 4, 3, nullptr, nullptr,
-        serial_res.data(), 0, generous);
-    JobTag late2;
-    late2.deadline_us = perf::nowUs() - 1000.0;
-    auto serial2 = randomRequests(robot, 4, 7);
-    std::vector<DynamicsResult> serial2_res(4);
-    const int missed2 = server.submitSerialStages(
-        FunctionType::FD, serial2.data(), 4, 3, nullptr, nullptr,
-        serial2_res.data(), 0, late2);
-    runtime::sched::SchedStats s2;
-    server.drain(nullptr, &s2);
-    EXPECT_FALSE(server.jobMissedDeadline(met));
-    EXPECT_TRUE(server.jobMissedDeadline(missed2));
-    EXPECT_EQ(s2.deadline_met, 1u);
-    EXPECT_EQ(s2.deadline_misses, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -826,7 +719,7 @@ TEST(SchedQos, PredictedAdmissionMatchesExecutionUnderEdfCoalesce)
 
     const int points = 16;
     const double predicted = runtime::sched::predictedAdmissionUs(
-        queued, points, 1, 2.0, 0.0,
+        queued, points, 2.0,
         runtime::sched::functionWeight(FunctionType::FD));
 
     const auto probe = randomRequests(robot, points, 9);
@@ -874,7 +767,7 @@ TEST(SchedQos, PredictedAdmissionBoundsExecutionWithStealing)
 
     const int points = 16;
     const double predicted = runtime::sched::predictedAdmissionUs(
-        queued, points, 1, 2.0, 0.0,
+        queued, points, 2.0,
         runtime::sched::functionWeight(FunctionType::FD));
 
     const auto probe = randomRequests(robot, points, 11);
