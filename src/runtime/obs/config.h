@@ -34,8 +34,8 @@ struct ServerObsConfig
      * Maintain the metrics registry: log-bucketed latency histograms
      * (queue wait / backend service / end-to-end, keyed by function
      * and tagged-vs-bulk), monotonic counters, and gauges including
-     * the admission predictor's EWMA task time. Recorded under the
-     * server lock alongside the accounting it describes.
+     * admission's wall time per task and prediction error. Recorded
+     * under the server lock alongside the accounting it describes.
      */
     bool metrics = false;
 

@@ -153,7 +153,7 @@ constexpr int kCounters = 12;
 /** Point-in-time values. */
 enum class Gauge : std::uint8_t
 {
-    TaskUsEwma,          ///< the admission predictor's per-task time estimate
+    TaskUsEwma, ///< last-served lane's wall µs per FD-equivalent task
     AdmissionErrRelEwma, ///< EWMA of |actual-predicted| / predicted horizon
     AdmissionLastErrUs,  ///< signed actual-minus-predicted of the last sample
 };

@@ -1,32 +1,32 @@
 /**
  * @file
- * Admission control for DynamicsServer: decide at submission time
- * whether a job should enter a lane queue at all, instead of letting
- * unbounded bulk load destroy the deadlines of tagged traffic.
+ * Admission for DynamicsServer: predict when a job completes and
+ * decide at submission whether it enters a lane queue at all, so
+ * unbounded bulk load cannot destroy the deadlines of tagged traffic.
  *
- * The policy sees one AdmissionRequest per submitted job — shape,
- * QoS tag, and a snapshot of the contention it would face — and says
- * admit or shed. A shed job is never silent: the server records it
- * with JobOutcome::Rejected, wait() returns immediately, and the
- * client chooses its own fallback (MpcSession reuses the previous
- * warm-started plan and counts a degraded tick).
+ * Everything runs on the server's clock, the one deadlines are judged
+ * in. Each lane is calibrated on it from pick to completion, in µs
+ * per FD-equivalent task — never on BatchStats::total_us, which is
+ * modeled time on the analytic and accelerator backends. A job gets
+ * ONE prediction, at submission: it decides admit-or-shed, rides the
+ * trace's Admitted event and feeds the error gauges at completion.
  *
- * Two invariants every policy must keep:
- *  - A tagged job whose deadline is already past is ADMITTED and
- *    counted as an immediate miss — shedding it would turn a late
- *    answer into no answer, which is strictly worse for a controller.
- *  - Only the caller's own traffic class pays for overload: bulk
- *    (untagged) work sheds on queue depth before tagged work sheds
- *    on predicted completion.
+ * A shed job gets JobOutcome::Rejected and wait() returns at once;
+ * the client picks its fallback (MpcSession reuses its warm-started
+ * plan and counts a degraded tick). Tagged work sheds only on a
+ * predicted miss, bulk only on queue depth, and a tagged job whose
+ * deadline has already passed is ADMITTED (an immediate miss): a late
+ * answer still steers a controller, no answer does not.
  */
 
 #ifndef DADU_RUNTIME_SCHED_ADMISSION_H
 #define DADU_RUNTIME_SCHED_ADMISSION_H
 
 #include <cstddef>
-#include <memory>
+#include <optional>
+#include <vector>
 
-#include "runtime/request.h"
+#include "runtime/obs/metrics.h"
 #include "runtime/sched/telemetry.h"
 
 namespace dadu::runtime::sched {
@@ -42,47 +42,11 @@ namespace dadu::runtime::sched {
 double predictedAdmissionUs(double queued_weight, int points,
                             double task_us, double fn_weight);
 
-/**
- * Everything an admission policy may consult, snapshotted under the
- * server lock at submission. `queued_weight` is the COMPETING weight:
- * under EDF only items that would drain before this job's deadline
- * count (queued bulk does not delay a tagged job that overtakes it);
- * under FIFO everything queued counts.
- */
-struct AdmissionRequest
-{
-    FunctionType fn = FunctionType::FD;
-    int points = 0;         ///< tasks the target lane runs
-    double deadline_us = kNoDeadline; ///< absolute, perf::nowUs() clock
-    double now_us = 0.0;    ///< submission timestamp, same clock
-    double queued_weight = 0.0; ///< FD-equivalent weight draining first
-    std::size_t queue_depth = 0; ///< items queued on the target lane
-    double task_us = 0.0;   ///< calibrated per-task cost (0 = unknown)
-    /**
-     * Live-column-aware per-task weight of the submitted job (the
-     * job's unit_weight): a column-gated ∆ batch is cheaper than a
-     * dense one and its completion prediction must reflect that. 0
-     * means "unknown — fall back to the dense functionWeight(fn)".
-     */
-    double fn_weight = 0.0;
-};
-
-/** Admit-or-shed decision point, pluggable on a DynamicsServer. */
-class AdmissionPolicy
-{
-  public:
-    virtual ~AdmissionPolicy() = default;
-    virtual const char *name() const = 0;
-
-    /** True to enqueue the job, false to shed it (Rejected outcome). */
-    virtual bool admit(const AdmissionRequest &req) = 0;
-};
-
-/** Knobs of the stock deadline-aware admission policy. */
+/** Knobs of admission shedding. */
 struct AdmissionConfig
 {
     /**
-     * Bulk (untagged) jobs shed when the least-loaded healthy lane
+     * Bulk (untagged) jobs shed when a lane they would queue on
      * already queues this many items. 0 means unbounded (bulk is
      * never depth-shed).
      */
@@ -90,13 +54,65 @@ struct AdmissionConfig
 };
 
 /**
- * The stock policy: depth-bound bulk, predict-completion tagged,
- * always admit already-late tagged jobs (immediate-miss accounting
- * happens server-side). With task_us unknown (0) tagged jobs are
- * always admitted — no prediction beats a wrong one.
+ * Per-lane wall-time calibration, the completion prediction, the
+ * admit/shed rule and the error-gauge feed. Not thread-safe: the
+ * server calls it under its lock. Times are absolute µs on the
+ * server's clock.
  */
-std::unique_ptr<AdmissionPolicy>
-makeDeadlineAdmission(const AdmissionConfig &cfg);
+class Admission
+{
+  public:
+    /** Add one uncalibrated lane. */
+    void addLane() { lanes_.emplace_back(); }
+
+    /** Shed with @p cfg. Off by default: every job is admitted. */
+    void enableShedding(const AdmissionConfig &cfg) { shed_ = cfg; }
+
+    /** A batch of @p weight FD-equivalent tasks was picked on @p lane. */
+    void batchStarted(int lane, double now_us, double weight);
+
+    /** The lane's batch ended; only a @p completed one calibrates. */
+    void batchEnded(int lane, double now_us, bool completed);
+
+    /** Wall µs per FD-equivalent task on @p lane; 0 = uncalibrated. */
+    double taskUs(int lane) const { return lanes_[lane].task_us; }
+
+    /**
+     * Predicted completion of @p points tasks of per-task weight @p
+     * unit_weight on @p lane, behind @p competing_weight FD-equivalent
+     * tasks. With @p plus_in_flight the rest of the lane's executing
+     * batch (`busy_until − now`) drains first too — for EDF, whose
+     * competing work counts queued items only. 0 when the lane is
+     * uncalibrated (no prediction beats a wrong one).
+     */
+    double predictDoneUs(int lane, double now_us, double competing_weight,
+                         std::size_t points, double unit_weight,
+                         bool plus_in_flight) const;
+
+    /**
+     * Admit or shed one job, judged by its prediction @p
+     * predicted_done_us (0 = none) and the deepest queue @p
+     * queue_depth among the lanes it would run on.
+     */
+    bool admit(double deadline_us, double now_us, double predicted_done_us,
+               std::size_t queue_depth) const;
+
+    /** Feed the error gauges with one completed, predicted job. */
+    static void recordError(obs::MetricsRegistry &metrics,
+                            double submit_us, double predicted_done_us,
+                            double done_us);
+
+  private:
+    struct Lane
+    {
+        double task_us = 0.0;       ///< EWMA, wall µs per FD-eq task
+        double started_us = 0.0;    ///< pick time of the current batch
+        double weight = 0.0;        ///< its FD-equivalent tasks
+        double busy_until_us = 0.0; ///< its predicted completion
+    };
+    std::vector<Lane> lanes_;
+    std::optional<AdmissionConfig> shed_;
+};
 
 } // namespace dadu::runtime::sched
 

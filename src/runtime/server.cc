@@ -11,7 +11,9 @@
 
 namespace dadu::runtime {
 
-DynamicsServer::DynamicsServer() : policy_(sched::makePolicy({})) {}
+DynamicsServer::DynamicsServer()
+    : clock_(perf::nowUs), policy_(sched::makePolicy({}))
+{}
 
 DynamicsServer::DynamicsServer(DynamicsBackend &backend)
     : DynamicsServer()
@@ -30,6 +32,7 @@ DynamicsServer::addBackend(DynamicsBackend &backend)
     assert(!running() && "register backends before start()");
     lanes_.emplace_back();
     lanes_.back().backend = &backend;
+    admission_.addLane();
     reconfigureObs();
     return static_cast<int>(lanes_.size()) - 1;
 }
@@ -66,10 +69,17 @@ DynamicsServer::reconfigureObs()
 }
 
 void
-DynamicsServer::setAdmission(std::unique_ptr<sched::AdmissionPolicy> policy)
+DynamicsServer::setAdmission(const sched::AdmissionConfig &cfg)
 {
-    assert(!running() && "install admission while the server is idle");
-    admission_ = std::move(policy);
+    assert(!running() && "configure admission while the server is idle");
+    admission_.enableShedding(cfg);
+}
+
+void
+DynamicsServer::setClock(Clock clock)
+{
+    assert(!running() && "set the clock while the server is idle");
+    clock_ = clock;
 }
 
 sched::ItemView
@@ -151,15 +161,6 @@ DynamicsServer::leastLoadedLane()
     return best;
 }
 
-int
-DynamicsServer::healthyLaneCount() const
-{
-    int n = 0;
-    for (const Lane &lane : lanes_)
-        n += lane.healthy ? 1 : 0;
-    return n;
-}
-
 void
 DynamicsServer::pushWork(int lane, WorkItem item)
 {
@@ -188,40 +189,35 @@ DynamicsServer::pushWork(int lane, WorkItem item)
     }
 }
 
-bool
-DynamicsServer::admitLocked(const Job &job, std::size_t points, int lane,
-                            double now_us)
-{
-    sched::AdmissionRequest req;
-    req.fn = job.fn;
-    req.points = static_cast<int>(points);
-    req.deadline_us = job.deadline_us;
-    req.now_us = now_us;
-    req.queue_depth = lanes_[lane].work.size();
-    req.task_us = task_us_ewma_;
-    req.fn_weight = job.unit_weight;
-    req.queued_weight = competingWeightLocked(job, lane);
-    return admission_->admit(req);
-}
-
 double
-DynamicsServer::competingWeightLocked(const Job &job, int lane) const
+DynamicsServer::predictDoneLocked(const Job &job, int shards,
+                                  double now) const
 {
-    // What actually drains before this job. Under EDF only
-    // earlier-or-equal deadlines delay it (queued bulk is overtaken);
-    // under FIFO everything committed to the lane does.
-    if (sched_cfg_.kind == sched::PolicyKind::Edf &&
-        job.deadline_us != sched::kNoDeadline)
-    {
-        double w = 0.0;
-        for (const WorkItem &item : lanes_[lane].work) {
-            const Job &q = jobRef(item.job);
-            if (q.deadline_us <= job.deadline_us)
-                w += q.unit_weight * static_cast<double>(item.count);
+    // What actually drains before each shard. Under EDF only
+    // earlier-or-equal deadlines delay it (queued bulk is overtaken),
+    // after the lane's in-flight batch; under FIFO everything
+    // committed to the lane does, in-flight batch included. The job
+    // completes with its last shard.
+    const bool edf = sched_cfg_.kind == sched::PolicyKind::Edf;
+    double done = 0.0;
+    for (int s = 0; s < shards; ++s) {
+        const Shard &sh = placement_[s];
+        double w = lanes_[sh.lane].load_weight;
+        if (edf) {
+            w = 0.0;
+            for (const WorkItem &item : lanes_[sh.lane].work) {
+                const Job &q = jobRef(item.job);
+                if (q.deadline_us <= job.deadline_us)
+                    w += q.unit_weight * static_cast<double>(item.count);
+            }
         }
-        return w;
+        const double p = admission_.predictDoneUs(sh.lane, now, w, sh.count,
+                                                  job.unit_weight, edf);
+        if (p == 0.0)
+            return 0.0;
+        done = std::max(done, p);
     }
-    return lanes_[lane].load_weight;
+    return done;
 }
 
 int
@@ -331,13 +327,14 @@ DynamicsServer::placeLocked(std::size_t count, double w, int backend_id,
 }
 
 void
-DynamicsServer::finishLocked(int id, JobOutcome outcome, int lane)
+DynamicsServer::finishLocked(int id, JobOutcome outcome, int lane,
+                             double now)
 {
     Job &job = jobRef(id);
     assert(!job.done && outcome != JobOutcome::Pending);
     job.done = true;
     job.outcome = outcome;
-    job.done_at_us = perf::nowUs();
+    job.done_at_us = now;
     --pending_jobs_;
     const bool tagged = job.deadline_us != sched::kNoDeadline;
     const double e2e = job.done_at_us - job.submit_at_us;
@@ -380,18 +377,10 @@ DynamicsServer::finishLocked(int id, JobOutcome outcome, int lane)
                 .record(job.stats.total_us);
             metrics_->histogram(job.fn, tagged, obs::LatKind::EndToEnd)
                 .record(e2e);
-            if (job.predicted_done_us > 0.0) {
-                // Predicted-vs-actual admission error: the calibration
-                // signal of the admission model, relative to its own
-                // horizon.
-                const double err = job.done_at_us - job.predicted_done_us;
-                const double horizon = std::max(
-                    job.predicted_done_us - job.submit_at_us, 1.0);
-                metrics_->set(obs::Gauge::AdmissionLastErrUs, err);
-                metrics_->ewma(obs::Gauge::AdmissionErrRelEwma,
-                               std::abs(err) / horizon);
-                metrics_->add(obs::Counter::AdmissionSamples);
-            }
+            if (job.predicted_done_us > 0.0)
+                sched::Admission::recordError(*metrics_, job.submit_at_us,
+                                              job.predicted_done_us,
+                                              job.done_at_us);
         }
     }
     done_cv_.notify_all();
@@ -422,11 +411,8 @@ DynamicsServer::enqueueJob(Job job, int backend_id)
     assert(backend_id == kLeastLoaded || backend_id == kAllLanes ||
            (backend_id >= 0 && backend_id < backendCount()));
     // One timestamp serves admission, the immediate-miss check and the
-    // observability hooks; an untagged, unobserved submit skips the
-    // clock read.
-    const double now = admission_ || tagged || trace_ || metrics_
-                           ? perf::nowUs()
-                           : 0.0;
+    // observability hooks.
+    const double now = clock_();
     job.submit_at_us = now;
     // A spread placement water-fills over every healthy lane; any
     // other is one shard on the bound (or least-loaded) lane.
@@ -435,25 +421,21 @@ DynamicsServer::enqueueJob(Job job, int backend_id)
     const int shards =
         masks_ok ? placeLocked(count, job.unit_weight, backend_id, spread)
                  : 0;
-    // Admission and the completion estimate judge what one lane runs:
-    // a single shard's whole batch on its lane; a spread job by the
-    // even slice a healthy lane would run, admitted against the
-    // least-loaded lane and estimated on the least-contended one (the
-    // shards run concurrently).
-    std::size_t probe_pts = count;
-    if (spread && shards > 0) {
-        const std::size_t healthy = healthyLaneCount();
-        probe_pts = (count + healthy - 1) / healthy;
-    }
+    // Each shard is judged on its own lane. A tagged job's one
+    // prediction decides admission and is the estimate the trace and
+    // the error gauges carry.
+    std::size_t depth = 0;
+    for (int s = 0; s < shards; ++s)
+        depth = std::max(depth, lanes_[placement_[s].lane].work.size());
+    if (tagged)
+        job.predicted_done_us = predictDoneLocked(job, shards, now);
     JobOutcome early = JobOutcome::Pending;
     if (!masks_ok)
         early = JobOutcome::Rejected;
     else if (shards == 0)
         early = JobOutcome::Failed;
-    else if (admission_ &&
-             !admitLocked(job, probe_pts,
-                          spread ? leastLoadedLane() : placement_[0].lane,
-                          now))
+    else if (!admission_.admit(job.deadline_us, now, job.predicted_done_us,
+                               depth))
         early = JobOutcome::Rejected;
 
     jobs_.push_back(std::move(job));
@@ -469,25 +451,11 @@ DynamicsServer::enqueueJob(Job job, int backend_id)
     if (early != JobOutcome::Pending) {
         // Shed, or no healthy lane: the job still gets a record, so
         // wait() returns for it and jobOutcome() says why.
-        finishLocked(id, early, -1);
+        finishLocked(id, early, -1, now);
         return id;
     }
     if (tagged && j.deadline_us <= now)
         ++sched_stats_.immediate_misses;
-    // Admission-model completion estimate for the calibration gauges:
-    // recorded per tagged job once the EWMA has its first sample, and
-    // compared against the actual completion time in finishLocked.
-    if (metrics_ && tagged && task_us_ewma_ > 0.0) {
-        double w = competingWeightLocked(j, placement_[0].lane);
-        if (spread)
-            for (int i = 0; i < backendCount(); ++i)
-                if (lanes_[i].healthy)
-                    w = std::min(w, competingWeightLocked(j, i));
-        j.predicted_done_us =
-            now + sched::predictedAdmissionUs(
-                      w, static_cast<int>(probe_pts), task_us_ewma_,
-                      j.unit_weight);
-    }
     j.shards = j.remaining = shards;
     if (trace_)
         trace_->control().record(
@@ -694,20 +662,26 @@ DynamicsServer::serveOne(int lane_id)
                               static_cast<std::ptrdiff_t>(*it));
         }
         std::reverse(lane.picked.begin(), lane.picked.end());
+        const double t_pick = clock_();
+        double weight = 0.0;
         for (const WorkItem &item : lane.picked) {
-            const Job &job = jobRef(item.job);
+            Job &job = jobRef(item.job);
             lane.picked_req.push_back(job.requests + item.begin);
             lane.picked_res.push_back(job.results + item.begin);
             total += item.count;
+            const double wgt = job.unit_weight * item.count;
+            weight += wgt;
+            if (job.first_pick_at_us == 0.0)
+                job.first_pick_at_us = t_pick; // queue wait ends
             if (src != lane_id) {
                 // Stolen: the committed load migrates with the item,
                 // and the thief's backend will run it.
-                const double wgt = job.unit_weight * item.count;
                 victim.load_weight -= wgt;
                 lane.load_weight += wgt;
                 ++sched_stats_.steals;
             }
         }
+        admission_.batchStarted(lane_id, t_pick, weight);
         backend = lane.backend;
         fn = jobRef(lane.picked.front().job).fn;
         merged = lane.picked.size() > 1;
@@ -715,44 +689,34 @@ DynamicsServer::serveOne(int lane_id)
             ++sched_stats_.coalesced_batches;
             sched_stats_.coalesced_items += lane.picked.size() - 1;
         }
-        if (trace_ || metrics_) {
-            const double t_pick = perf::nowUs();
-            for (const WorkItem &item : lane.picked) {
-                Job &job = jobRef(item.job);
-                if (job.first_pick_at_us == 0.0)
-                    job.first_pick_at_us = t_pick; // queue wait ends
-            }
-            if (trace_) {
-                // This thread is the one serving lane_id, so its ring
-                // (not the victim's) is the SPSC-safe destination —
-                // including for steal events.
-                obs::TraceRing &ring = trace_->lane(lane_id);
-                const int primary = lane.picked.front().job;
-                ring.record(obs::EventKind::Picked, t_pick, primary,
-                            static_cast<std::int16_t>(lane_id), fn,
-                            static_cast<std::uint32_t>(lane.picked.size()),
-                            static_cast<double>(lane.pick.overtaken));
-                if (src != lane_id)
-                    ring.record(obs::EventKind::StolenFrom, t_pick,
-                                primary,
-                                static_cast<std::int16_t>(lane_id), fn,
-                                static_cast<std::uint32_t>(src),
-                                static_cast<double>(lane.picked.size()));
-                for (std::size_t i = 1; i < lane.picked.size(); ++i)
-                    ring.record(
-                        obs::EventKind::CoalescedInto, t_pick,
-                        lane.picked[i].job,
+        if (trace_) {
+            // This thread is the one serving lane_id, so its ring
+            // (not the victim's) is the SPSC-safe destination —
+            // including for steal events.
+            obs::TraceRing &ring = trace_->lane(lane_id);
+            const int primary = lane.picked.front().job;
+            ring.record(obs::EventKind::Picked, t_pick, primary,
                         static_cast<std::int16_t>(lane_id), fn,
-                        static_cast<std::uint32_t>(lane.picked[i].count));
-            }
-            if (metrics_) {
-                if (src != lane_id)
-                    metrics_->add(obs::Counter::StolenItems,
-                                  lane.picked.size());
-                if (merged)
-                    metrics_->add(obs::Counter::CoalescedItems,
-                                  lane.picked.size() - 1);
-            }
+                        static_cast<std::uint32_t>(lane.picked.size()),
+                        static_cast<double>(lane.pick.overtaken));
+            if (src != lane_id)
+                ring.record(obs::EventKind::StolenFrom, t_pick, primary,
+                            static_cast<std::int16_t>(lane_id), fn,
+                            static_cast<std::uint32_t>(src),
+                            static_cast<double>(lane.picked.size()));
+            for (std::size_t i = 1; i < lane.picked.size(); ++i)
+                ring.record(
+                    obs::EventKind::CoalescedInto, t_pick,
+                    lane.picked[i].job,
+                    static_cast<std::int16_t>(lane_id), fn,
+                    static_cast<std::uint32_t>(lane.picked[i].count));
+        }
+        if (metrics_) {
+            if (src != lane_id)
+                metrics_->add(obs::Counter::StolenItems, lane.picked.size());
+            if (merged)
+                metrics_->add(obs::Counter::CoalescedItems,
+                              lane.picked.size() - 1);
         }
     }
 
@@ -786,7 +750,7 @@ DynamicsServer::serveOne(int lane_id)
     obs::TraceRing *ring = trace_ ? &trace_->lane(lane_id) : nullptr;
     const int primary = lane.picked.front().job;
     if (ring)
-        ring->record(obs::EventKind::ExecBegin, perf::nowUs(), primary,
+        ring->record(obs::EventKind::ExecBegin, clock_(), primary,
                      static_cast<std::int16_t>(lane_id), fn,
                      static_cast<std::uint32_t>(total));
     BatchStats stats;
@@ -810,13 +774,13 @@ DynamicsServer::serveOne(int lane_id)
         if (attempt + 1 < attempts) {
             ++n_retries;
             if (ring)
-                ring->record(obs::EventKind::Retry, perf::nowUs(),
+                ring->record(obs::EventKind::Retry, clock_(),
                              primary, static_cast<std::int16_t>(lane_id),
                              fn, static_cast<std::uint32_t>(attempt + 1));
         }
     }
     if (ring)
-        ring->record(obs::EventKind::ExecEnd, perf::nowUs(), primary,
+        ring->record(obs::EventKind::ExecEnd, clock_(), primary,
                      static_cast<std::int16_t>(lane_id), fn,
                      static_cast<std::uint32_t>(status), stats.total_us);
     if (n_transient || n_corrupt) {
@@ -837,12 +801,14 @@ DynamicsServer::serveOne(int lane_id)
         // returns, outcome says why — a sharded one once its last
         // shard is back.
         std::lock_guard<std::mutex> lock(mu_);
+        const double now = clock_();
+        admission_.batchEnded(lane_id, now, false);
         for (const WorkItem &item : lane.picked) {
             Job &job = jobRef(item.job);
             lane.load_weight -= job.unit_weight * item.count;
             job.failed = true;
             if (--job.remaining == 0)
-                finishLocked(item.job, JobOutcome::Failed, lane_id);
+                finishLocked(item.job, JobOutcome::Failed, lane_id, now);
         }
         lane.picked.clear();
         lane.picked_req.clear();
@@ -880,7 +846,7 @@ DynamicsServer::failLane(int lane_id)
     // ring is still this thread's to write — the death and every
     // requeue decision land on the dying lane's track.
     obs::TraceRing *ring = trace_ ? &trace_->lane(lane_id) : nullptr;
-    const double t_death = (trace_ || metrics_) ? perf::nowUs() : 0.0;
+    const double t_death = clock_();
     if (ring)
         ring->record(obs::EventKind::LaneDeath, t_death, -1,
                      static_cast<std::int16_t>(lane_id),
@@ -901,7 +867,7 @@ DynamicsServer::failLane(int lane_id)
             return; // another item of the job already failed it
         const int dest = leastLoadedLane();
         if (dest < 0) {
-            finishLocked(item.job, JobOutcome::Failed, lane_id);
+            finishLocked(item.job, JobOutcome::Failed, lane_id, t_death);
             return;
         }
         if (ring)
@@ -935,19 +901,10 @@ DynamicsServer::completePicked(int lane_id, const BatchStats &stats,
     stats_.busy_us += stats.total_us;
     ++stats_.batches;
     stats_.tasks += total;
-    // Calibrate the per-task cost admission predictions use: one
-    // EWMA in FD-equivalent units across functions and lanes.
-    if (stats.total_us > 0.0 && total > 0) {
-        const double sample =
-            stats.total_us /
-            (static_cast<double>(total) *
-             jobRef(lane.picked.front().job).unit_weight);
-        task_us_ewma_ = task_us_ewma_ == 0.0
-                            ? sample
-                            : 0.8 * task_us_ewma_ + 0.2 * sample;
-        if (metrics_)
-            metrics_->set(obs::Gauge::TaskUsEwma, task_us_ewma_);
-    }
+    const double now = clock_();
+    admission_.batchEnded(lane_id, now, true);
+    if (metrics_)
+        metrics_->set(obs::Gauge::TaskUsEwma, admission_.taskUs(lane_id));
     const bool merged = lane.picked.size() > 1;
 
     for (const WorkItem &item : lane.picked) {
@@ -981,7 +938,7 @@ DynamicsServer::completePicked(int lane_id, const BatchStats &stats,
         finishLocked(item.job,
                      job.failed ? JobOutcome::Failed
                                 : JobOutcome::Completed,
-                     lane_id);
+                     lane_id, now);
     }
     if (metrics_)
         metrics_->setLaneLoad(lane_id, lane.load_weight);

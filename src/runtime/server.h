@@ -37,16 +37,19 @@
  * 1.5x FD), which is what kLeastLoaded and the sharding
  * water-filling balance.
  *
- * Fault tolerance (src/runtime/fault.h, sched/admission.h): submit()
- * can now fail. A TransientFailure is retried on the same lane up to
+ * Fault tolerance (src/runtime/fault.h): submit() can fail. A
+ * TransientFailure is retried on the same lane up to
  * SchedConfig::max_retries times (optionally with NaN/inf validation
  * of the batch results folded into the same budget); a BackendDown —
  * or an exhausted budget — quarantines the lane: its picked and
  * queued items fail over to healthy siblings. Only when NO healthy
- * lane remains does a job get JobOutcome::Failed. An optional
- * AdmissionPolicy sheds work at submission (JobOutcome::Rejected)
- * before it can destroy tagged deadlines; both outcomes are explicit
- * — wait() returns for them.
+ * lane remains does a job get JobOutcome::Failed.
+ *
+ * One clock (setClock, default perf::nowUs) times submission, pick,
+ * completion and the deadline check. sched::Admission calibrates each
+ * lane on it and predicts each tagged job's completion once; with
+ * setAdmission() it sheds work at submission (JobOutcome::Rejected).
+ * Rejected and Failed are explicit outcomes — wait() returns for them.
  *
  * Execution modes:
  *
@@ -157,13 +160,21 @@ class DynamicsServer
     const sched::SchedConfig &schedConfig() const { return sched_cfg_; }
 
     /**
-     * Install an admission policy (null disables shedding, the
-     * default). Consulted once per submitted job under the server
-     * lock; a shed job gets JobOutcome::Rejected and completes
-     * immediately without executing. Call while the server is idle,
-     * like setPolicy().
+     * Turn on admission shedding with @p cfg (off by default). Judged
+     * once per submitted job under the server lock; a shed job gets
+     * JobOutcome::Rejected and completes immediately without
+     * executing. Call while the server is idle, like setPolicy().
      */
-    void setAdmission(std::unique_ptr<sched::AdmissionPolicy> policy);
+    void setAdmission(const sched::AdmissionConfig &cfg);
+
+    /** The server's clock: absolute µs, monotonic. */
+    using Clock = double (*)();
+
+    /**
+     * Replace the clock (default perf::nowUs) that JobTag deadlines
+     * are absolute times on. A test seam, not a knob. Call while idle.
+     */
+    void setClock(Clock clock);
 
     /**
      * Enqueue a flat batch of @p count requests on backend
@@ -272,8 +283,8 @@ class DynamicsServer
     BatchStats jobStats(int job) const;
 
     /**
-     * Wall-clock (perf::nowUs) completion time of a finished job —
-     * the instant its deadline was checked. 0 for unfinished jobs.
+     * Completion time of a finished job on the server's clock — the
+     * instant its deadline was checked. 0 for unfinished jobs.
      */
     double jobDoneAtUs(int job) const;
 
@@ -377,13 +388,13 @@ class DynamicsServer
         double unit_weight = 1.0;
         /** Batch mask signature (runtime::maskSignature; 0 = dense). */
         std::uint64_t mask_sig = 0;
-        double done_at_us = 0.0; ///< wall completion time (done only)
+        double done_at_us = 0.0; ///< completion time (done only)
         bool missed = false;     ///< completed after its deadline
         BatchStats stats{}; ///< shards merged (jobStats, jobUs)
-        // Observability fields; only written when obs is enabled.
-        double submit_at_us = 0.0;     ///< wall submission time
+        double submit_at_us = 0.0;     ///< submission time
         double first_pick_at_us = 0.0; ///< first serve pick (queue wait end)
-        double predicted_done_us = 0.0; ///< admission-model completion estimate
+        /** The admission prediction (tagged jobs; 0 = none). */
+        double predicted_done_us = 0.0;
     };
 
     /** One shard of a job's placement: a slice bound to a lane. */
@@ -477,7 +488,6 @@ class DynamicsServer
     /** Least-loaded water-filling of @p count tasks of weight @p w. */
     int waterFillLocked(std::size_t count, double w);
     int leastLoadedLane();
-    int healthyLaneCount() const;
     void pushWork(int lane, WorkItem item);
     Job &jobRef(int id) { return jobs_[id - retire_base_]; }
     const Job &jobRef(int id) const { return jobs_[id - retire_base_]; }
@@ -493,20 +503,15 @@ class DynamicsServer
      * rejected_jobs / failed_jobs) and its metrics, records the one
      * terminal trace event on the control ring, releases
      * pending_jobs_ and wakes waiters. @p lane is the lane that saw
-     * the end (-1 at submission).
+     * the end (-1 at submission), at clock time @p now.
      */
-    void finishLocked(int id, JobOutcome outcome, int lane);
-    /** Admission decision for @p points of @p job bound for @p lane. */
-    bool admitLocked(const Job &job, std::size_t points, int lane,
-                     double now_us);
+    void finishLocked(int id, JobOutcome outcome, int lane, double now);
     /**
-     * FD-equivalent work on @p lane that would run before @p job
-     * under the current policy (EDF: queued items with deadline ≤
-     * the job's; FIFO: the whole lane load) — the admission model's
-     * competing-weight input, shared by shedding and by the
-     * predicted-completion estimate the metrics registry tracks.
+     * The one admission prediction of a tagged @p job placed as
+     * placement_'s first @p shards shards: its last shard's
+     * completion. 0 when a shard's lane is uncalibrated.
      */
-    double competingWeightLocked(const Job &job, int lane) const;
+    double predictDoneLocked(const Job &job, int shards, double now) const;
     /** Rebuild trace_/metrics_ to match sched_cfg_.obs and lane count. */
     void reconfigureObs();
     /** Create + start aggregator/endpoint per sched_cfg_.obs (from start()). */
@@ -565,15 +570,10 @@ class DynamicsServer
     int thief_next_ = 0; ///< round-robin cursor for steal wakeups
     ServerStats stats_{}; ///< accounting since the last drain()
     sched::SchedConfig sched_cfg_{};
+    Clock clock_;
     std::unique_ptr<sched::SchedPolicy> policy_;
-    std::unique_ptr<sched::AdmissionPolicy> admission_;
+    sched::Admission admission_;
     sched::SchedStats sched_stats_{}; ///< policy telemetry (interval)
-    /**
-     * EWMA of measured per-task backend time in FD-equivalent units
-     * (batch total_us / (tasks x functionWeight)), fed to admission
-     * predictions. 0 until the first batch completes.
-     */
-    double task_us_ewma_ = 0.0;
     /**
      * Observability state; null when the matching ServerObsConfig
      * flag is off, so every hook is `if (trace_)` / `if (metrics_)`.

@@ -610,7 +610,7 @@ TEST(Admission, BulkShedsOnQueueDepthTaggedTrafficAdmitted)
     DynamicsServer server(backend);
     runtime::sched::AdmissionConfig acfg;
     acfg.max_queue_depth = 2;
-    server.setAdmission(runtime::sched::makeDeadlineAdmission(acfg));
+    server.setAdmission(acfg);
     server.start();
 
     // Flood bulk: the lane serves one 3 ms batch at a time, so the
@@ -673,7 +673,7 @@ TEST(Admission, PastDeadlineAcceptedAndCountedAsImmediateMiss)
         server.setPolicy(cfg);
         runtime::sched::AdmissionConfig acfg;
         acfg.max_queue_depth = 0; // unbounded: depth must not shed here
-        server.setAdmission(runtime::sched::makeDeadlineAdmission(acfg));
+        server.setAdmission(acfg);
 
         const int kJobs = 16;
         std::vector<std::vector<DynamicsResult>> results(kJobs);

@@ -760,7 +760,7 @@ TEST(ObsExport, ShedJobFlowIsClosed)
     server.setPolicy(cfg);
     runtime::sched::AdmissionConfig acfg;
     acfg.max_queue_depth = 1;
-    server.setAdmission(runtime::sched::makeDeadlineAdmission(acfg));
+    server.setAdmission(acfg);
 
     // Synchronous mode: the first job is still queued when the second
     // arrives, so the depth bound sheds the second.

@@ -16,7 +16,10 @@
  *  - starvation/fairness property: with a saturating bulk client
  *    under EDF, every deadline-tagged job completes and lands in
  *    exactly one of SchedStats::deadline_met / deadline_misses — no
- *    job is dropped or parked.
+ *    job is dropped or parked;
+ *  - the admission unit on synthetic timestamps (per-lane wall-time
+ *    calibration, the EDF in-flight remainder, the admit rule), and
+ *    on a server driven by a manual clock.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <random>
 #include <thread>
 #include <vector>
@@ -43,6 +47,7 @@ using dadu::runtime::BatchStats;
 using dadu::runtime::DynamicsRequest;
 using dadu::runtime::DynamicsResult;
 using dadu::runtime::FunctionType;
+using dadu::runtime::sched::Admission;
 using dadu::runtime::sched::JobTag;
 using dadu::runtime::sched::kNoDeadline;
 using dadu::runtime::sched::PolicyKind;
@@ -50,6 +55,19 @@ using dadu::runtime::sched::SchedConfig;
 using dadu::runtime::sched::SchedStats;
 using dadu::tests::expectBitwiseEqual;
 using dadu::tests::randomRequests;
+
+/**
+ * Manual server clock (µs) for tests that assert time-derived values:
+ * it moves only when a RecordingBackend set to advance it runs a
+ * batch, so every pick, completion and deadline read is exact.
+ */
+std::atomic<double> g_manual_clock_us{1000.0};
+
+double
+manualClockUs()
+{
+    return g_manual_clock_us.load(std::memory_order_acquire);
+}
 
 /**
  * Modeled-cost backend: batch makespan = base + count * per_task in
@@ -88,6 +106,9 @@ class RecordingBackend : public runtime::DynamicsBackend
                 results[i].dqdd_dq = linalg::MatrixX::identity(2);
         }
         batch_counts_.push_back(count);
+        if (clock_us_per_batch_ > 0.0)
+            g_manual_clock_us.fetch_add(clock_us_per_batch_,
+                                        std::memory_order_acq_rel);
         if (wall_us_per_batch_ > 0.0) {
             in_batch_.store(true, std::memory_order_release);
             std::this_thread::sleep_for(std::chrono::microseconds(
@@ -107,6 +128,8 @@ class RecordingBackend : public runtime::DynamicsBackend
 
     /** Make batches take real wall time (steal/starvation tests). */
     void setWallUsPerBatch(double us) { wall_us_per_batch_ = us; }
+    /** Advance the manual clock by @p us per batch instead. */
+    void advanceClockPerBatch(double us) { clock_us_per_batch_ = us; }
     bool inBatch() const
     {
         return in_batch_.load(std::memory_order_acquire);
@@ -121,6 +144,7 @@ class RecordingBackend : public runtime::DynamicsBackend
     const RobotModel &robot_;
     double base_us_, per_task_us_;
     double wall_us_per_batch_ = 0.0;
+    double clock_us_per_batch_ = 0.0;
     std::atomic<bool> in_batch_{false};
     std::vector<std::size_t> batch_counts_;
 };
@@ -796,18 +820,18 @@ TEST(SchedQos, PredictedAdmissionBoundsExecutionWithStealing)
 
 TEST(SchedQos, AdmissionPredictionErrorConverges)
 {
-    // One modeled lane (no base cost, 10 µs/task, and a real wall
-    // time matched to the model: 16 tasks x 10 µs = 160 µs/batch)
-    // under EDF with the metrics registry on. Untagged bulk
-    // completions calibrate the admission EWMA; tagged jobs then
-    // carry a predicted completion whose realized error the registry
-    // tracks. With a uniform workload the per-task estimate must
-    // converge to the modeled 10 µs and the relative prediction
-    // error must stay bounded.
+    // One lane on the manual clock: each 16-task batch moves it by
+    // 160 µs, under EDF with the metrics registry on. Untagged bulk
+    // completions calibrate the lane; tagged jobs then carry a
+    // predicted completion whose realized error the registry tracks.
+    // The modeled 1 µs/task the backend reports is not the clock the
+    // deadlines use, so the per-task estimate must be the clock's
+    // 10 µs and the relative prediction error must stay bounded.
     const auto robot = model::makeSerialChain(3);
-    RecordingBackend backend(robot, 0.0, 10.0);
-    backend.setWallUsPerBatch(160.0);
+    RecordingBackend backend(robot, 0.0, 1.0);
+    backend.advanceClockPerBatch(160.0);
     runtime::DynamicsServer server(backend);
+    server.setClock(manualClockUs);
     SchedConfig cfg;
     cfg.kind = PolicyKind::Edf;
     cfg.obs.metrics = true;
@@ -835,7 +859,7 @@ TEST(SchedQos, AdmissionPredictionErrorConverges)
     std::thread tagged([&] {
         for (int i = 0; i < kTagged; ++i) {
             JobTag tag;
-            tag.deadline_us = perf::nowUs() + 60e6; // generous
+            tag.deadline_us = manualClockUs() + 60e6; // generous
             server.wait(server.submit(FunctionType::FD, reqs.data(),
                                       kN, crit_res[i].data(), 0, tag));
         }
@@ -848,23 +872,208 @@ TEST(SchedQos, AdmissionPredictionErrorConverges)
     ASSERT_NE(m, nullptr);
     using runtime::obs::Counter;
     using runtime::obs::Gauge;
-    // The per-task estimate converged to the modeled 10 µs/task
-    // (every batch reports count x 10 µs of backend time).
+    // Every batch is 16 tasks picked and completed 160 µs apart on
+    // the clock: the estimate is exactly 10 µs per task.
     EXPECT_GT(m->gaugeSamples(Gauge::TaskUsEwma), 0u);
-    EXPECT_NEAR(m->gauge(Gauge::TaskUsEwma), 10.0, 2.0);
+    EXPECT_DOUBLE_EQ(m->gauge(Gauge::TaskUsEwma), 10.0);
     // Every tagged completion contributed an admission sample.
     EXPECT_GE(m->counter(Counter::AdmissionSamples),
               static_cast<std::uint64_t>(10));
-    // The realized relative error is live and bounded: the modeled
-    // time matches the wall time here, so predictions are within a
-    // few multiples of the horizon even with queueing noise.
-    EXPECT_GT(m->gauge(Gauge::AdmissionErrRelEwma), 0.0);
+    // The realized relative error is live and bounded.
+    EXPECT_GE(m->gaugeSamples(Gauge::AdmissionErrRelEwma), 10u);
     EXPECT_LT(m->gauge(Gauge::AdmissionErrRelEwma), 5.0);
     // All jobs flowed through the registry's counters too.
     EXPECT_EQ(m->counter(Counter::JobsSubmitted),
               static_cast<std::uint64_t>(kBulkJobs + kTagged));
     EXPECT_EQ(m->counter(Counter::JobsCompleted),
               static_cast<std::uint64_t>(kBulkJobs + kTagged));
+}
+
+TEST(SchedQos, OnePredictionPerJobDecidesAdmissionAndFeedsTheGauge)
+{
+    // Two lanes on the manual clock, synchronous (no worker threads):
+    // lane 0 runs at 10 µs/task, lane 1 at 30 µs/task. A spread job
+    // gets one prediction, its last shard's completion; the same
+    // value decides admission, rides the Admitted event and is what
+    // the error gauge measures at completion.
+    const auto robot = model::makeSerialChain(3);
+    RecordingBackend lane0(robot, 0.0, 1.0), lane1(robot, 0.0, 1.0);
+    lane0.advanceClockPerBatch(40.0);
+    lane1.advanceClockPerBatch(120.0);
+    runtime::DynamicsServer server(lane0);
+    server.addBackend(lane1);
+    server.setClock(manualClockUs);
+    SchedConfig cfg;
+    cfg.kind = PolicyKind::Edf;
+    cfg.obs.trace = true;
+    cfg.obs.metrics = true;
+    server.setPolicy(cfg);
+    runtime::sched::AdmissionConfig acfg;
+    acfg.max_queue_depth = 0; // depth never sheds here
+    server.setAdmission(acfg);
+
+    const auto reqs = randomRequests(robot, 8, 5);
+    std::vector<std::vector<DynamicsResult>> res(
+        5, std::vector<DynamicsResult>(8));
+    // Calibrate each lane with one 4-task batch.
+    server.submit(FunctionType::FD, reqs.data(), 4, res[0].data(), 0);
+    server.submit(FunctionType::FD, reqs.data(), 4, res[1].data(), 1);
+    server.drain();
+
+    // A tagged 4-task job on lane 1 that drains before any later
+    // deadline there: predicted t + 4 x 30 µs.
+    const double t = manualClockUs();
+    JobTag first;
+    first.deadline_us = t + 150.0;
+    const int first_id = server.submit(FunctionType::FD, reqs.data(), 4,
+                                       res[2].data(), 1, first);
+    // The spread 8-task job water-fills 6 tasks onto lane 0 and 2
+    // onto lane 1 (which already holds 4): lane 0 is done at
+    // t + 6 x 10 µs, lane 1 at t + (4 + 2) x 30 µs = t + 180 µs.
+    JobTag tight, exact;
+    tight.deadline_us = t + 179.0;
+    exact.deadline_us = t + 180.0;
+    const int shed = server.submitSharded(FunctionType::FD, reqs.data(),
+                                          8, res[3].data(), tight);
+    const int kept = server.submitSharded(FunctionType::FD, reqs.data(),
+                                          8, res[4].data(), exact);
+    EXPECT_EQ(server.jobOutcome(shed), runtime::JobOutcome::Rejected);
+    EXPECT_EQ(server.jobOutcome(kept), runtime::JobOutcome::Pending);
+    server.drain();
+    ASSERT_EQ(server.jobOutcome(kept), runtime::JobOutcome::Completed);
+
+    double first_predicted = -1.0, kept_predicted = -1.0;
+    const runtime::obs::TraceRing &ctl = server.traceBuffer()->control();
+    for (std::size_t i = 0; i < ctl.retained(); ++i) {
+        const runtime::obs::TraceEvent &ev = ctl.at(i);
+        if (ev.kind != runtime::obs::EventKind::Admitted)
+            continue;
+        if (ev.job == first_id)
+            first_predicted = ev.b;
+        if (ev.job == kept)
+            kept_predicted = ev.b;
+    }
+    EXPECT_DOUBLE_EQ(first_predicted, t + 120.0);
+    EXPECT_DOUBLE_EQ(kept_predicted, t + 180.0);
+
+    // kept completes last (its lane-1 shard runs after first), so the
+    // gauge's last sample is its actual minus that same prediction.
+    const runtime::obs::MetricsRegistry *m = server.metricsRegistry();
+    ASSERT_NE(m, nullptr);
+    using runtime::obs::Gauge;
+    EXPECT_EQ(m->counter(runtime::obs::Counter::AdmissionSamples), 2u);
+    EXPECT_DOUBLE_EQ(m->gauge(Gauge::AdmissionLastErrUs),
+                     server.jobDoneAtUs(kept) - (t + 180.0));
+}
+
+// ---------------------------------------------------------------------
+// The admission unit on synthetic timestamps (no server)
+// ---------------------------------------------------------------------
+
+/**
+ * Drive lane @p lane of @p adm through 40 rounds on a synthetic
+ * clock. Each round a job of 8 tasks arrives behind 24 queued
+ * FD-equivalent tasks on an idle FIFO lane; the queue and then the
+ * job run as two batches whose wall time is @p wall_us_per_task per
+ * task with ±10 % seeded jitter. @return the largest relative error
+ * |actual − predicted| / horizon over the rounds after the first 5.
+ */
+double
+maxRelErrorOnSyntheticLane(Admission &adm, int lane,
+                           double wall_us_per_task, unsigned seed)
+{
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> jitter(-0.1, 0.1);
+    double t = 1000.0, worst = 0.0;
+    for (int round = 0; round < 40; ++round) {
+        const double submit = t;
+        const double predicted =
+            adm.predictDoneUs(lane, submit, 24.0, 8, 1.0, false);
+        for (double weight : {24.0, 8.0}) {
+            adm.batchStarted(lane, t, weight);
+            t += weight * wall_us_per_task * (1.0 + jitter(rng));
+            adm.batchEnded(lane, t, true);
+        }
+        if (round >= 5)
+            worst = std::max(worst, std::abs(t - predicted) /
+                                        (predicted - submit));
+        t += 50.0; // idle gap before the next arrival
+    }
+    return worst;
+}
+
+TEST(AdmissionUnit, CalibratesEachLaneOnWallTimeNotReportedTime)
+{
+    // Lane 0 is CPU-like: its BatchStats::total_us would equal the
+    // wall time, 10 µs per task. Lane 1 is analytic-style: 4 µs per
+    // task of wall time while its total_us would report 1 % of that.
+    // The unit sees only the clock, so each lane converges to its own
+    // wall cost and predicts within the jitter.
+    Admission adm;
+    adm.addLane();
+    adm.addLane();
+    EXPECT_DOUBLE_EQ(adm.taskUs(0), 0.0);
+    EXPECT_DOUBLE_EQ(adm.predictDoneUs(0, 5.0, 1.0, 1, 1.0, false), 0.0);
+
+    const double err_cpu = maxRelErrorOnSyntheticLane(adm, 0, 10.0, 7);
+    const double err_analytic = maxRelErrorOnSyntheticLane(adm, 1, 4.0, 8);
+    EXPECT_NEAR(adm.taskUs(0), 10.0, 1.0);
+    EXPECT_NEAR(adm.taskUs(1), 4.0, 0.4);
+    // The analytic lane's reported 0.04 µs/task is 100x off the clock.
+    EXPECT_GT(adm.taskUs(1), 50.0 * 0.04);
+    EXPECT_LT(err_cpu, 0.25);
+    EXPECT_LT(err_analytic, 0.25);
+}
+
+TEST(AdmissionUnit, EdfPredictionAddsTheInFlightRemainder)
+{
+    Admission adm;
+    adm.addLane();
+    adm.batchStarted(0, 1000.0, 4.0);
+    adm.batchEnded(0, 1040.0, true);
+    ASSERT_DOUBLE_EQ(adm.taskUs(0), 10.0);
+
+    // A 16-task batch picked at 2000 is predicted busy until 2160; at
+    // 2050, 110 µs of it remain.
+    adm.batchStarted(0, 2000.0, 16.0);
+    // 8 competing tasks (80 µs) + 4 tasks of weight 1.5 (60 µs).
+    EXPECT_DOUBLE_EQ(adm.predictDoneUs(0, 2050.0, 8.0, 4, 1.5, true),
+                     2050.0 + 110.0 + 80.0 + 60.0);
+    // FIFO's competing weight already holds the whole batch.
+    EXPECT_DOUBLE_EQ(adm.predictDoneUs(0, 2050.0, 8.0, 4, 1.5, false),
+                     2050.0 + 80.0 + 60.0);
+    // Past its predicted end nothing remains.
+    EXPECT_DOUBLE_EQ(adm.predictDoneUs(0, 2200.0, 0.0, 4, 1.0, true),
+                     2240.0);
+    // A batch that ends (even rejected) leaves the lane idle, and
+    // only a completed one is a calibration sample.
+    adm.batchStarted(0, 3000.0, 16.0);
+    adm.batchEnded(0, 3001.0, false);
+    EXPECT_DOUBLE_EQ(adm.taskUs(0), 10.0);
+    EXPECT_DOUBLE_EQ(adm.predictDoneUs(0, 3001.0, 0.0, 4, 1.0, true),
+                     3041.0);
+}
+
+TEST(AdmissionUnit, AdmitRule)
+{
+    Admission adm;
+    adm.addLane();
+    // Shedding off: everything is admitted.
+    EXPECT_TRUE(adm.admit(kNoDeadline, 0.0, 0.0, 1000));
+    EXPECT_TRUE(adm.admit(100.0, 50.0, 500.0, 0));
+
+    runtime::sched::AdmissionConfig cfg;
+    cfg.max_queue_depth = 3;
+    adm.enableShedding(cfg);
+    // Bulk sheds on depth only.
+    EXPECT_TRUE(adm.admit(kNoDeadline, 0.0, 0.0, 2));
+    EXPECT_FALSE(adm.admit(kNoDeadline, 0.0, 0.0, 3));
+    // Tagged: depth never applies; shed only on a predicted miss.
+    EXPECT_TRUE(adm.admit(100.0, 50.0, 100.0, 99));
+    EXPECT_FALSE(adm.admit(100.0, 50.0, 100.5, 0));
+    // No prediction (uncalibrated lane) or already late: admitted.
+    EXPECT_TRUE(adm.admit(100.0, 50.0, 0.0, 0));
+    EXPECT_TRUE(adm.admit(100.0, 100.0, 500.0, 0));
 }
 
 } // namespace

@@ -57,12 +57,16 @@ SPEC = {
         # committed factor.
         ("throughput_ratio_edf", "rel", 0.30),
         ("throughput_ratio_qos", "rel", 0.30),
+        # Admission predicts on the clock its deadlines are judged in:
+        # an error EWMA in the hundreds means modeled time leaked back
+        # into the calibration.
+        ("obs_admission_err_rel_ewma", "max", 2.0),
     ],
     "BENCH_overload.json": [
         ("schema_version", "exact", None),
         # Admission control must keep critical deadlines under 2x
         # overload (the headline fault-tolerance claim), where FIFO
-        # visibly degrades.
+        # visibly degrades. crit_hit_qos_* is the median of 5 runs.
         ("crit_hit_qos_2x", "min", 0.90),
         ("crit_hit_fifo_2x", "max", 0.90),
     ],
