@@ -51,11 +51,12 @@ measuredCpuSection(const RobotModel &robot, JsonReport &report)
     // Environment stamps: the committed numbers are meaningless
     // without them (thread rows stop at the host's hardware threads,
     // and the SoA speedup depends on the lane width the engines ran
-    // at).
+    // at and on whether the CPU ran the x86-64-v4 lane kernels).
     const double hw =
         static_cast<double>(std::thread::hardware_concurrency());
     report.add("hardware_concurrency", hw);
     report.add("lane_width", algo::soa::defaultLaneWidth());
+    report.add("soa_kernels_v4", algo::soa::v4Kernels() ? 1.0 : 0.0);
 
     algo::DynamicsWorkspace ws(robot);
     algo::FdDerivatives d;

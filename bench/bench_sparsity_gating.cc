@@ -117,10 +117,6 @@ gatedCpuSection(JsonReport &report)
                 minv_in.push_back(fd[i].minv);
             }
         }
-        std::vector<const linalg::MatrixX *> minv_ptrs;
-        for (int i = 0; i < points; ++i)
-            minv_ptrs.push_back(&minv_in[i]);
-
         std::vector<GateConfig> configs(1);
         configs[0].label = "dense";
         for (bool given_accel : {false, true}) {
@@ -148,7 +144,7 @@ gatedCpuSection(JsonReport &report)
                 c.given_accel
                     ? engine.batchFdDerivativesGivenAccel(
                           qs.data(), qds.data(), qdd_in.data(),
-                          minv_ptrs.data(), points, plan)
+                          minv_in.data(), points, plan)
                     : engine.batchFdDerivatives(qs.data(), qds.data(),
                                                 taus.data(), points, plan);
             volatile double sink = out[0].dqdd_dq(0, 0);

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <thread>
 
+#include "algorithms/crba.h"
 #include "algorithms/mminv_gen.h"
 #include "algorithms/soa/kernels.h"
 
@@ -23,6 +24,33 @@ clampThreads(int threads)
     return threads < 1 ? 1 : threads;
 }
 
+/** The active lane-kernel build's pack kernel for @p fn. */
+soa::PackKernel
+packKernel(BatchedDynamics::Function fn)
+{
+    using F = BatchedDynamics::Function;
+    const soa::KernelSet &k = soa::activeKernels();
+    switch (fn) {
+      case F::Id: return k.rnea;
+      case F::Fd: return k.forwardDynamics;
+      case F::M: return k.crba;
+      case F::Minv: return k.minv;
+      case F::DeltaId: return k.rneaDerivatives;
+      case F::DeltaFd: return k.fdDerivatives;
+      case F::DeltaiFd: return k.fdGivenAccel;
+    }
+    return nullptr;
+}
+
+/** Copy @p v into slot @p i of @p out, when the caller wants it. */
+template <typename T>
+void
+deliver(const Strided<T> &out, int i, const T &v)
+{
+    if (out)
+        out[i] = v;
+}
+
 } // namespace
 
 BatchedDynamics::BatchedDynamics(const RobotModel &robot, int threads)
@@ -40,6 +68,7 @@ BatchedDynamics::BatchedDynamics(const RobotModel &robot,
     workspaces_.resize(static_cast<std::size_t>(pool_->threadCount()) + 1);
     for (auto &ws : workspaces_)
         ws.ensure(robot_);
+    fd_scratch_.resize(workspaces_.size());
 }
 
 void
@@ -60,6 +89,8 @@ BatchedDynamics::runChunk(void *ctx, int chunk)
     const int end = static_cast<int>(
         static_cast<long long>(chunk + 1) * n / chunks);
     DynamicsWorkspace &ws = self->workspaces_[chunk];
+    const Inputs &in = self->in_;
+    const Outputs &out = self->out_;
 
     // Pack full lane groups through the SoA kernels, then run the
     // ragged remainder through the scalar path. Both mirror the same
@@ -68,102 +99,111 @@ BatchedDynamics::runChunk(void *ctx, int chunk)
     const int w = self->lane_width_;
     int i = begin;
     if (w > 1) {
+        const soa::PackKernel pack = packKernel(self->fn_);
         soa::LaneBatch lanes;
         lanes.mask = soa::LaneBatch::fullMask(w);
-        VectorX *qdd_out[soa::kMaxLaneWidth];
-        FdDerivatives *fd_out[soa::kMaxLaneWidth];
-        linalg::MatrixX *minv_out[soa::kMaxLaneWidth];
+        soa::LaneResults res;
         for (; i + w <= end; i += w) {
             for (int l = 0; l < w; ++l) {
-                lanes.q[l] = &self->in_q_[i + l];
-                switch (self->mode_) {
-                  case Mode::Fd:
-                    lanes.qd[l] = &self->in_qd_[i + l];
-                    lanes.tau[l] = &self->in_tau_[i + l];
-                    qdd_out[l] = &self->qdd_out_[i + l];
-                    break;
-                  case Mode::FdDerivatives:
-                    lanes.qd[l] = &self->in_qd_[i + l];
-                    lanes.tau[l] = &self->in_tau_[i + l];
-                    fd_out[l] = &self->fd_out_[i + l];
-                    break;
-                  case Mode::FdGivenAccel:
-                    lanes.qd[l] = &self->in_qd_[i + l];
-                    lanes.qdd[l] = &self->in_tau_[i + l];
-                    lanes.minv[l] = self->in_minv_[i + l];
-                    fd_out[l] = &self->fd_out_[i + l];
-                    break;
-                  case Mode::Minv:
-                    minv_out[l] = &self->minv_out_[i + l];
-                    break;
-                }
+                const int p = i + l;
+                lanes.q[l] = &in.q[p];
+                lanes.qd[l] = in.qd ? &in.qd[p] : nullptr;
+                lanes.u[l] = in.u ? &in.u[p] : nullptr;
+                lanes.minv[l] = in.minv ? &in.minv[p] : nullptr;
+                res.tau[l] = out.tau ? &out.tau[p] : nullptr;
+                res.qdd[l] = out.qdd ? &out.qdd[p] : nullptr;
+                res.m[l] = out.m ? &out.m[p] : nullptr;
+                res.minv[l] = out.minv ? &out.minv[p] : nullptr;
+                res.d_dq[l] = out.d_dq ? &out.d_dq[p] : nullptr;
+                res.d_dqd[l] = out.d_dqd ? &out.d_dqd[p] : nullptr;
             }
-            switch (self->mode_) {
-              case Mode::Fd:
-                soa::packForwardDynamics(self->robot_, ws, w, lanes,
-                                         qdd_out);
-                break;
-              case Mode::FdDerivatives:
-                soa::packFdDerivatives(self->robot_, ws, w, lanes, fd_out,
-                                       self->in_plan_);
-                break;
-              case Mode::FdGivenAccel:
-                soa::packFdGivenAccel(self->robot_, ws, w, lanes, fd_out,
-                                      self->in_plan_);
-                break;
-              case Mode::Minv:
-                soa::packMinv(self->robot_, ws, w, lanes, minv_out);
-                break;
-            }
+            pack(self->robot_, ws, w, lanes, res, self->plan_);
         }
+        if (i > begin)
+            self->packed_points_.fetch_add(
+                static_cast<std::uint64_t>(i - begin),
+                std::memory_order_relaxed);
     }
-    switch (self->mode_) {
-      case Mode::Fd:
-        for (; i < end; ++i)
-            forwardDynamics(self->robot_, ws, self->in_q_[i],
-                            self->in_qd_[i], self->in_tau_[i],
-                            self->qdd_out_[i]);
+    for (; i < end; ++i)
+        self->scalarPoint(ws, self->fd_scratch_[chunk], i);
+}
+
+void
+BatchedDynamics::scalarPoint(DynamicsWorkspace &ws, FdDerivatives &fd,
+                             int i) const
+{
+    const Inputs &in = in_;
+    const Outputs &out = out_;
+    switch (fn_) {
+      case Function::Id:
+        rnea(robot_, ws, in.q[i], in.qd[i], in.u[i], ws.rnea_res);
+        deliver(out.tau, i, ws.rnea_res.tau);
         break;
-      case Mode::FdDerivatives:
-        for (; i < end; ++i)
-            fdDerivatives(self->robot_, ws, self->in_q_[i],
-                          self->in_qd_[i], self->in_tau_[i],
-                          self->fd_out_[i], nullptr, self->in_plan_);
+      case Function::Fd:
+        if (out.qdd)
+            forwardDynamics(robot_, ws, in.q[i], in.qd[i], in.u[i],
+                            out.qdd[i]);
         break;
-      case Mode::FdGivenAccel:
-        for (; i < end; ++i)
-            fdDerivativesGivenAccel(self->robot_, ws, self->in_q_[i],
-                                    self->in_qd_[i], self->in_tau_[i],
-                                    *self->in_minv_[i], self->fd_out_[i],
-                                    nullptr, self->in_plan_);
+      case Function::M:
+        if (out.m)
+            crba(robot_, ws, in.q[i], out.m[i]);
         break;
-      case Mode::Minv:
-        for (; i < end; ++i)
-            massMatrixInverse(self->robot_, ws, self->in_q_[i],
-                              self->minv_out_[i]);
+      case Function::Minv:
+        if (out.minv)
+            massMatrixInverse(robot_, ws, in.q[i], out.minv[i]);
+        break;
+      case Function::DeltaId:
+        rnea(robot_, ws, in.q[i], in.qd[i], in.u[i], ws.rnea_res);
+        rneaDerivatives(robot_, ws, in.q[i], in.qd[i], in.u[i], ws.did,
+                        nullptr, false, plan_);
+        deliver(out.tau, i, ws.rnea_res.tau);
+        deliver(out.d_dq, i, ws.did.dtau_dq);
+        deliver(out.d_dqd, i, ws.did.dtau_dqd);
+        break;
+      case Function::DeltaFd:
+      case Function::DeltaiFd:
+        if (fn_ == Function::DeltaFd)
+            fdDerivatives(robot_, ws, in.q[i], in.qd[i], in.u[i], fd,
+                          nullptr, plan_);
+        else
+            fdDerivativesGivenAccel(robot_, ws, in.q[i], in.qd[i], in.u[i],
+                                    in.minv[i], fd, nullptr, plan_);
+        deliver(out.qdd, i, fd.qdd);
+        deliver(out.minv, i, fd.minv);
+        deliver(out.d_dq, i, fd.dqdd_dq);
+        deliver(out.d_dqd, i, fd.dqdd_dqd);
         break;
     }
 }
 
 void
-BatchedDynamics::dispatch(Mode mode, const VectorX *q, const VectorX *qd,
-                          const VectorX *tau, int n, const ColumnPlan *plan,
-                          const linalg::MatrixX *const *minv)
+BatchedDynamics::evaluate(Function fn, const Inputs &in, int n,
+                          const Outputs &out, const ColumnPlan *plan)
 {
     assert(!in_dispatch_.exchange(true) &&
            "BatchedDynamics: concurrent batch calls on one engine");
-    mode_ = mode;
+    fn_ = fn;
     n_ = n;
-    in_q_ = q;
-    in_qd_ = qd;
-    in_tau_ = tau;
-    in_plan_ = plan;
-    in_minv_ = minv;
+    in_ = in;
+    out_ = out;
+    plan_ = plan;
     pool_->runIndexed(&BatchedDynamics::runChunk, this, workspaceCount());
-    in_q_ = in_qd_ = in_tau_ = nullptr;
-    in_plan_ = nullptr;
-    in_minv_ = nullptr;
+    in_ = Inputs{};
+    out_ = Outputs{};
+    plan_ = nullptr;
     in_dispatch_.store(false);
+}
+
+BatchedDynamics::Outputs
+BatchedDynamics::fdOutputs()
+{
+    FdDerivatives *fd = fd_out_.data();
+    Outputs out;
+    out.qdd = {fd, &FdDerivatives::qdd};
+    out.minv = {fd, &FdDerivatives::minv};
+    out.d_dq = {fd, &FdDerivatives::dqdd_dq};
+    out.d_dqd = {fd, &FdDerivatives::dqdd_dqd};
+    return out;
 }
 
 const std::vector<VectorX> &
@@ -182,7 +222,9 @@ BatchedDynamics::batchForwardDynamics(const VectorX *q, const VectorX *qd,
 {
     if (static_cast<int>(qdd_out_.size()) < n)
         qdd_out_.resize(n);
-    dispatch(Mode::Fd, q, qd, tau, n);
+    Outputs out;
+    out.qdd = qdd_out_.data();
+    evaluate(Function::Fd, {q, qd, tau, {}}, n, out);
     return qdd_out_;
 }
 
@@ -204,18 +246,18 @@ BatchedDynamics::batchFdDerivatives(const VectorX *q, const VectorX *qd,
 {
     if (static_cast<int>(fd_out_.size()) < n)
         fd_out_.resize(n);
-    dispatch(Mode::FdDerivatives, q, qd, tau, n, plan);
+    evaluate(Function::DeltaFd, {q, qd, tau, {}}, n, fdOutputs(), plan);
     return fd_out_;
 }
 
 const std::vector<FdDerivatives> &
 BatchedDynamics::batchFdDerivativesGivenAccel(
     const VectorX *q, const VectorX *qd, const VectorX *qdd,
-    const linalg::MatrixX *const *minv, int n, const ColumnPlan *plan)
+    Strided<const linalg::MatrixX> minv, int n, const ColumnPlan *plan)
 {
     if (static_cast<int>(fd_out_.size()) < n)
         fd_out_.resize(n);
-    dispatch(Mode::FdGivenAccel, q, qd, qdd, n, plan, minv);
+    evaluate(Function::DeltaiFd, {q, qd, qdd, minv}, n, fdOutputs(), plan);
     return fd_out_;
 }
 
@@ -230,7 +272,9 @@ BatchedDynamics::batchMinv(const VectorX *q, int n)
 {
     if (static_cast<int>(minv_out_.size()) < n)
         minv_out_.resize(n);
-    dispatch(Mode::Minv, q, nullptr, nullptr, n);
+    Outputs out;
+    out.minv = minv_out_.data();
+    evaluate(Function::Minv, {q, {}, {}, {}}, n, out);
     return minv_out_;
 }
 

@@ -7,30 +7,34 @@
  * forward dynamics, its derivatives and the mass-matrix inverse at
  * ~100 independent horizon points per iteration — the
  * parallelizable dark-blue share of Fig. 2c. This engine is the CPU
- * analogue of the accelerator's batch pipelines: N independent
- * (q, q̇, τ) sample points are fanned out over app::ThreadPool in
- * contiguous chunks, each chunk evaluated through its own reusable
- * workspace, so the steady-state hot loop performs zero heap
- * allocations (dispatch included: the pool's runIndexed path has no
- * std::function or queue-node allocation, and all outputs are
- * engine-owned storage reused across calls).
+ * analogue of the accelerator's batch pipelines, and like RBDCore it
+ * serves every Table I function on one datapath: N independent sample
+ * points of ID, FD, M, M⁻¹, ∆ID, ∆FD or ∆iFD are fanned out over
+ * app::ThreadPool in contiguous chunks, each chunk evaluated through
+ * its own reusable workspace. Inputs are read and outputs written in
+ * the caller's storage through strided views, so the steady-state hot
+ * loop performs zero heap allocations (dispatch included: the pool's
+ * runIndexed path has no std::function or queue-node allocation).
  *
  * Within a chunk, points are packed into SIMD lane packs of width W
  * (4, 8 or 16; see src/algorithms/soa/) and evaluated by the
  * lane-parallel SoA kernels, with the ragged remainder falling back
  * to the scalar workspace kernels. The SoA kernels mirror the scalar
  * algorithms expression by expression, so results stay bitwise
- * identical to the single-point reference regardless of lane width
- * or thread count: chunking and packing only change which thread and
- * which register lane (not in which order, per point) the arithmetic
- * runs.
+ * identical to the single-point reference regardless of lane width,
+ * thread count or which build of the lane kernels the CPU runs:
+ * chunking and packing only change which thread and which register
+ * lane (not in which order, per point) the arithmetic runs.
  */
 
 #ifndef DADU_ALGORITHMS_BATCHED_H
 #define DADU_ALGORITHMS_BATCHED_H
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "algorithms/dynamics.h"
@@ -40,6 +44,46 @@
 #include "model/robot_model.h"
 
 namespace dadu::algo {
+
+/**
+ * Element i of a strided array: the object at byte offset i * stride
+ * from the base. Views a plain array, or one field of every element
+ * of an array of structs (each request's q, each result's q̈), so the
+ * engine reads and writes the caller's storage in place. A
+ * default-constructed view is null: the field is absent.
+ */
+template <typename T>
+class Strided
+{
+  public:
+    Strided() = default;
+
+    /** The plain array @p a. */
+    Strided(T *a) : base_(a) {}
+
+    /** Field @p m of every element of the array @p a. */
+    template <typename S, typename C>
+    Strided(S *a, std::remove_const_t<T> C::*m)
+        : base_(a ? &(a->*m) : nullptr), stride_(sizeof(S))
+    {
+        static_assert(std::is_same_v<std::remove_const_t<S>, C>);
+    }
+
+    T &
+    operator[](int i) const
+    {
+        using Byte =
+            std::conditional_t<std::is_const_v<T>, const char, char>;
+        return *reinterpret_cast<T *>(reinterpret_cast<Byte *>(base_) +
+                                      static_cast<std::size_t>(i) * stride_);
+    }
+
+    explicit operator bool() const { return base_ != nullptr; }
+
+  private:
+    T *base_ = nullptr;
+    std::size_t stride_ = sizeof(T);
+};
 
 /**
  * Batched evaluation of independent dynamics sample points.
@@ -88,36 +132,76 @@ class BatchedDynamics
         return static_cast<int>(workspaces_.size());
     }
 
+    /** The Table I functions the engine evaluates. */
+    enum class Function
+    {
+        Id,
+        Fd,
+        M,
+        Minv,
+        DeltaId,
+        DeltaFd,
+        DeltaiFd,
+    };
+
+    /** One batch's inputs, point i at index i of each view. */
+    struct Inputs
+    {
+        Strided<const VectorX> q;
+        Strided<const VectorX> qd; ///< not read by M, M⁻¹
+        /** τ (FD, ∆FD) or q̈ (ID, ∆ID, ∆iFD); not read by M, M⁻¹. */
+        Strided<const VectorX> u;
+        Strided<const linalg::MatrixX> minv; ///< ∆iFD only
+    };
+
     /**
-     * Forward dynamics q̈ = FD(q, q̇, τ) at every sample point.
-     * Input vectors must have equal length N; returns the engine's
-     * output array (valid until the next batch call, reused across
-     * calls). Only the first N entries are meaningful — the array
-     * is grow-only so a smaller batch after a larger one does not
-     * free and reallocate per-point storage.
+     * One batch's output slots, as soa::LaneResults: a function writes
+     * each field it produces into its non-null view and touches no
+     * other storage.
+     *  - ID: tau.  FD: qdd.  M: m.  M⁻¹: minv.
+     *  - ∆ID: tau, d_dq = ∂τ/∂q, d_dqd = ∂τ/∂q̇.
+     *  - ∆FD: qdd, minv, d_dq = ∂q̈/∂q, d_dqd = ∂q̈/∂q̇.
+     *  - ∆iFD: d_dq, d_dqd, and copies of its q̈ and M⁻¹ inputs.
      */
+    struct Outputs
+    {
+        Strided<VectorX> tau, qdd;
+        Strided<linalg::MatrixX> m, minv, d_dq, d_dqd;
+    };
+
+    /**
+     * Evaluate @p fn at @p n sample points. Views must cover n points
+     * and stay valid for the call; outputs must not alias inputs.
+     *
+     * @param plan optional column gating of the derivative functions
+     *             (∆ID, ∆FD, ∆iFD), shared by the whole batch: live
+     *             columns of the derivatives are bitwise identical to
+     *             the dense batch, dead columns exactly 0.0, on both
+     *             the SoA and the scalar-remainder path. Null = dense.
+     */
+    void evaluate(Function fn, const Inputs &in, int n, const Outputs &out,
+                  const ColumnPlan *plan = nullptr);
+
+    // The span API below runs evaluate() into engine-owned outputs
+    // (valid until the next batch call, reused across calls). Only
+    // the first n entries are meaningful — the arrays are grow-only,
+    // so a smaller batch after a larger one does not free and
+    // reallocate per-point storage.
+
+    /** Forward dynamics q̈ = FD(q, q̇, τ) at every sample point. */
     const std::vector<VectorX> &
     batchForwardDynamics(const std::vector<VectorX> &q,
                          const std::vector<VectorX> &qd,
                          const std::vector<VectorX> &tau);
 
-    /**
-     * Span overload: @p n sample points read from raw arrays, so
-     * callers staging inputs in grow-only storage (the runtime's CPU
-     * backend) can batch fewer points than their staging capacity.
-     */
+    /** Span overload: @p n sample points read from raw arrays. */
     const std::vector<VectorX> &
     batchForwardDynamics(const VectorX *q, const VectorX *qd,
                          const VectorX *tau, int n);
 
     /**
-     * ∆FD (q̈, ∂q̈/∂q, ∂q̈/∂q̇, M⁻¹) at every sample point.
-     *
-     * @param plan optional column gating shared by the whole batch
-     *             (must stay valid for the duration of the call):
-     *             live columns of ∂q̈/∂u are bitwise identical to the
-     *             dense batch, dead columns exactly 0.0, on both the
-     *             SoA and the scalar-remainder path. Null = dense.
+     * ∆FD (q̈, ∂q̈/∂q, ∂q̈/∂q̇, M⁻¹) at every sample point, gated by
+     * @p plan as in evaluate().
      */
     const std::vector<FdDerivatives> &
     batchFdDerivatives(const std::vector<VectorX> &q,
@@ -133,18 +217,16 @@ class BatchedDynamics
 
     /**
      * ∆iFD at every sample point: steps ④⑤⑥ of ∆FD with q̈ and M⁻¹
-     * supplied per point (@p minv is an array of @p n pointers that
-     * must stay valid for the call), mirroring the scalar
+     * supplied per point, mirroring the scalar
      * fdDerivativesGivenAccel. Because the dense ①②③ prefix is
      * skipped, a gated batch's cost scales with the live-column
      * count alone — this is the fast path for derivative refreshes
      * that reuse q̈/M⁻¹ held from an earlier dense ∆FD evaluation.
-     * Gating semantics match batchFdDerivatives.
      */
     const std::vector<FdDerivatives> &
     batchFdDerivativesGivenAccel(const VectorX *q, const VectorX *qd,
                                  const VectorX *qdd,
-                                 const linalg::MatrixX *const *minv,
+                                 Strided<const linalg::MatrixX> minv,
                                  int n, const ColumnPlan *plan = nullptr);
 
     /** M⁻¹(q) at every sample point. */
@@ -167,37 +249,40 @@ class BatchedDynamics
     /** Current SIMD lane width (1 = scalar path). */
     int laneWidth() const { return lane_width_; }
 
-  private:
-    enum class Mode
+    /** Points evaluated in SoA lane packs so far (the rest ran scalar). */
+    std::uint64_t
+    packedPoints() const
     {
-        Fd,
-        FdDerivatives,
-        FdGivenAccel,
-        Minv,
-    };
+        return packed_points_.load(std::memory_order_relaxed);
+    }
 
+    /**
+     * A workspace for the caller's own single-point work between batch
+     * calls (one of the engine's, so the caller keeps no second arena).
+     */
+    DynamicsWorkspace &scratchWorkspace() { return workspaces_[0]; }
+
+  private:
     static void runChunk(void *ctx, int chunk);
-    void dispatch(Mode mode, const VectorX *q, const VectorX *qd,
-                  const VectorX *tau, int n,
-                  const ColumnPlan *plan = nullptr,
-                  const linalg::MatrixX *const *minv = nullptr);
+    void scalarPoint(DynamicsWorkspace &ws, FdDerivatives &fd, int i) const;
+    Outputs fdOutputs();
 
     const RobotModel &robot_;
     std::shared_ptr<app::ThreadPool> pool_;
     std::vector<DynamicsWorkspace> workspaces_;
-
-    // Current batch (valid during dispatch).
-    std::atomic<bool> in_dispatch_{false}; ///< misuse guard (debug)
-    Mode mode_ = Mode::Fd;
-    int n_ = 0;
+    std::vector<FdDerivatives> fd_scratch_; ///< per chunk, scalar ∆FD/∆iFD
     int lane_width_; ///< SIMD pack width (1 = scalar), set in ctor.
-    const VectorX *in_q_ = nullptr;
-    const VectorX *in_qd_ = nullptr;
-    const VectorX *in_tau_ = nullptr;    ///< τ (∆FD) or q̈ (∆iFD)
-    const ColumnPlan *in_plan_ = nullptr; ///< ∆FD/∆iFD column gating.
-    const linalg::MatrixX *const *in_minv_ = nullptr; ///< ∆iFD M⁻¹ inputs.
+    std::atomic<std::uint64_t> packed_points_{0};
 
-    // Engine-owned outputs, reused across calls.
+    // Current batch (valid during evaluate).
+    std::atomic<bool> in_dispatch_{false}; ///< misuse guard (debug)
+    Function fn_ = Function::Fd;
+    int n_ = 0;
+    Inputs in_;
+    Outputs out_;
+    const ColumnPlan *plan_ = nullptr;
+
+    // Engine-owned outputs of the span API, reused across calls.
     std::vector<VectorX> qdd_out_;
     std::vector<FdDerivatives> fd_out_;
     std::vector<linalg::MatrixX> minv_out_;

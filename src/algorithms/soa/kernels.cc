@@ -1,16 +1,30 @@
+/**
+ * @file
+ * The lane kernels, compiled once per instruction-set build: the
+ * library compiles this file for its default target with
+ * DADU_SOA_ISA = base, and again for x86-64-v4 with DADU_SOA_ISA = v4
+ * (CMakeLists.txt). Everything the file defines, pack.h's templates
+ * included, lives in soa::DADU_SOA_ISA, and the build's only exported
+ * symbol is that namespace's kernels() table; soa/dispatch.cc picks a
+ * table at run time.
+ */
+
 #include "algorithms/soa/kernels.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
+
+#ifndef DADU_SOA_ISA
+#define DADU_SOA_ISA base
+#endif
 
 #include "algorithms/soa/pack.h"
 #include "linalg/aligned.h"
 #include "spatial/transform.h"
 
-namespace dadu::algo::soa {
+namespace dadu::algo::soa::DADU_SOA_ISA {
 
 namespace {
 
@@ -145,14 +159,24 @@ slotIndex()
     return W == 4 ? 0 : W == 8 ? 1 : 2;
 }
 
+/**
+ * Tags the arenas of this build at width W: a slot holding the other
+ * build's arena (one workspace run through both) is replaced, never
+ * reinterpreted.
+ */
+template <int W>
+const char kArenaKind = 0;
+
 template <int W>
 LaneArena<W> &
 arenaFor(DynamicsWorkspace &ws, const RobotModel &robot)
 {
     ws.ensure(robot);
     std::unique_ptr<SoaArenaBase> &slot = ws.soa_arenas[slotIndex<W>()];
-    if (!slot)
+    if (!slot || slot->kind != &kArenaKind<W>) {
         slot = std::make_unique<LaneArena<W>>();
+        slot->kind = &kArenaKind<W>;
+    }
     auto &la = static_cast<LaneArena<W> &>(*slot);
     la.ensure(robot);
     return la;
@@ -169,8 +193,7 @@ struct Lanes
 {
     const VectorX *q[W];
     const VectorX *qd[W];
-    const VectorX *tau[W];
-    const VectorX *qdd[W];
+    const VectorX *u[W];
     const MatrixX *minv[W];
     bool active[W];
 };
@@ -195,8 +218,7 @@ resolveLanes(const LaneBatch &in)
         const int src = act ? l : first;
         ln.q[l] = in.q[src];
         ln.qd[l] = in.qd[src];
-        ln.tau[l] = in.tau[src];
-        ln.qdd[l] = in.qdd[src];
+        ln.u[l] = in.u[src];
         ln.minv[l] = in.minv[src];
     }
     return ln;
@@ -329,13 +351,14 @@ gatherTransforms(const RobotModel &robot, LaneArena<W> &la,
     }
 }
 
+/** Scatter n packs to each active lane's non-null output slot. */
 template <int W>
 void
 scatterVector(const Pack<W> *src, int n, const Lanes<W> &ln,
               VectorX *const *out)
 {
     for (int l = 0; l < W; ++l) {
-        if (!ln.active[l])
+        if (!ln.active[l] || !out[l])
             continue;
         VectorX &o = *out[l];
         if (static_cast<int>(o.size()) != n)
@@ -345,38 +368,33 @@ scatterVector(const Pack<W> *src, int n, const Lanes<W> &ln,
     }
 }
 
-template <int W>
-void
-scatterMatrixLane(const Pack<W> *src, int rows, int cols, int lane,
-                  MatrixX &o)
-{
-    // resize() zero-fills even at the same shape; every entry is
-    // overwritten below, so only reshape when the shape changed.
-    if (static_cast<int>(o.rows()) != rows ||
-        static_cast<int>(o.cols()) != cols)
-        o.resize(rows, cols);
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c < cols; ++c)
-            o(r, c) = src[r * cols + c].l[lane];
-}
-
 /**
- * Column-gated scatter: live columns copy from the packs, dead
- * columns are written as exact 0.0 (never read from the arena, which
- * holds stale values there) — matching the gated scalar kernels,
- * whose resize() zero-fill leaves dead columns +0.0.
+ * Scatter an n x n row-major pack matrix to each active lane's
+ * non-null output slot. Gated by @p plan: live columns copy from the
+ * packs, dead columns are written as exact 0.0 (never read from the
+ * arena, which holds stale values there) — matching the gated scalar
+ * kernels, whose resize() zero-fill leaves dead columns +0.0.
  */
 template <int W>
 void
-scatterMatrixLaneCols(const Pack<W> *src, int rows, int cols, int lane,
-                      MatrixX &o, const ColumnPlan &plan)
+scatterMatrix(const Pack<W> *src, int n, const Lanes<W> &ln,
+              MatrixX *const *out, const ColumnPlan *plan = nullptr)
 {
-    if (static_cast<int>(o.rows()) != rows ||
-        static_cast<int>(o.cols()) != cols)
-        o.resize(rows, cols);
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c < cols; ++c)
-            o(r, c) = plan.isLive(c) ? src[r * cols + c].l[lane] : 0.0;
+    const bool gated = plan != nullptr && !plan->dense();
+    for (int l = 0; l < W; ++l) {
+        if (!ln.active[l] || !out[l])
+            continue;
+        MatrixX &o = *out[l];
+        // resize() zero-fills even at the same shape; every entry is
+        // overwritten below, so only reshape when the shape changed.
+        if (static_cast<int>(o.rows()) != n ||
+            static_cast<int>(o.cols()) != n)
+            o.resize(n, n);
+        for (int r = 0; r < n; ++r)
+            for (int c = 0; c < n; ++c)
+                o(r, c) = !gated || plan->isLive(c) ? src[r * n + c].l[l]
+                                                    : 0.0;
+    }
 }
 
 // ------------------------------------------------------------- RNEA
@@ -934,7 +952,7 @@ mulMatNegIntoCols(const Pack<W> *m, const Pack<W> *o, Pack<W> *out, int n,
 template <int W>
 void
 fdImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
-       VectorX *const *qdd_out)
+       const LaneResults &out, const ColumnPlan *)
 {
     LaneArena<W> &la = arenaFor<W>(ws, robot);
     const Lanes<W> ln = resolveLanes<W>(in);
@@ -942,7 +960,7 @@ fdImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
     gatherPacks(la.qd.data(), ln.qd, nv);
-    gatherPacks(la.tau.data(), ln.tau, nv);
+    gatherPacks(la.tau.data(), ln.u, nv);
     gatherTransforms(robot, la, ln);
 
     // Steps ①②③ of the scalar forwardDynamics (MMinvGen route).
@@ -954,23 +972,40 @@ fdImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
         la.tmp[i] = la.tau[i] - la.bias[i];
     mulVecInto(la.jsout.data(), la.tmp.data(), la.qddp.data(), nv);
 
-    scatterVector(la.qddp.data(), nv, ln, qdd_out);
+    scatterVector(la.qddp.data(), nv, ln, out.qdd);
+}
+
+/** Step ⑥, ∂q̈/∂u = -M⁻¹ ∂τ/∂u, on the live columns of @p plan. */
+template <int W>
+void
+minvProduct(LaneArena<W> &la, int nv, const ColumnPlan *plan)
+{
+    if (plan != nullptr && !plan->dense()) {
+        const int *cols = plan->cols().data();
+        const int ncols = plan->liveCount();
+        mulMatNegIntoCols(la.jsout.data(), la.dtq.data(), la.dqq.data(),
+                          nv, cols, ncols);
+        mulMatNegIntoCols(la.jsout.data(), la.dtqd.data(), la.dqqd.data(),
+                          nv, cols, ncols);
+    } else {
+        mulMatNegInto(la.jsout.data(), la.dtq.data(), la.dqq.data(), nv);
+        mulMatNegInto(la.jsout.data(), la.dtqd.data(), la.dqqd.data(), nv);
+    }
 }
 
 template <int W>
 void
 fdDerivImpl(const RobotModel &robot, DynamicsWorkspace &ws,
-            const LaneBatch &in, FdDerivatives *const *out,
+            const LaneBatch &in, const LaneResults &out,
             const ColumnPlan *plan)
 {
     LaneArena<W> &la = arenaFor<W>(ws, robot);
     const Lanes<W> ln = resolveLanes<W>(in);
     const int nv = robot.nv();
-    const bool gated = plan != nullptr && !plan->dense();
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
     gatherPacks(la.qd.data(), ln.qd, nv);
-    gatherPacks(la.tau.data(), ln.tau, nv);
+    gatherPacks(la.tau.data(), ln.u, nv);
     gatherTransforms(robot, la, ln);
 
     // Steps ① - ⑥ of the scalar fdDerivatives. ①②③ (q̈, M⁻¹) are
@@ -983,52 +1018,27 @@ fdDerivImpl(const RobotModel &robot, DynamicsWorkspace &ws,
         la.tmp[i] = la.tau[i] - la.bias[i];
     mulVecInto(la.jsout.data(), la.tmp.data(), la.qddp.data(), nv);
     rneaDerivSweep(robot, ws, la, la.qd.data(), la.qddp.data(), plan);
-    if (gated) {
-        const int *cols = plan->cols().data();
-        const int ncols = plan->liveCount();
-        mulMatNegIntoCols(la.jsout.data(), la.dtq.data(), la.dqq.data(),
-                          nv, cols, ncols);
-        mulMatNegIntoCols(la.jsout.data(), la.dtqd.data(), la.dqqd.data(),
-                          nv, cols, ncols);
-    } else {
-        mulMatNegInto(la.jsout.data(), la.dtq.data(), la.dqq.data(), nv);
-        mulMatNegInto(la.jsout.data(), la.dtqd.data(), la.dqqd.data(), nv);
-    }
+    minvProduct(la, nv, plan);
 
-    for (int l = 0; l < W; ++l) {
-        if (!ln.active[l])
-            continue;
-        FdDerivatives &o = *out[l];
-        o.qdd.resize(nv);
-        for (int j = 0; j < nv; ++j)
-            o.qdd[j] = la.qddp[j].l[l];
-        if (gated) {
-            scatterMatrixLaneCols(la.dqq.data(), nv, nv, l, o.dqdd_dq,
-                                  *plan);
-            scatterMatrixLaneCols(la.dqqd.data(), nv, nv, l, o.dqdd_dqd,
-                                  *plan);
-        } else {
-            scatterMatrixLane(la.dqq.data(), nv, nv, l, o.dqdd_dq);
-            scatterMatrixLane(la.dqqd.data(), nv, nv, l, o.dqdd_dqd);
-        }
-        scatterMatrixLane(la.jsout.data(), nv, nv, l, o.minv);
-    }
+    scatterVector(la.qddp.data(), nv, ln, out.qdd);
+    scatterMatrix(la.dqq.data(), nv, ln, out.d_dq, plan);
+    scatterMatrix(la.dqqd.data(), nv, ln, out.d_dqd, plan);
+    scatterMatrix(la.jsout.data(), nv, ln, out.minv);
 }
 
 template <int W>
 void
 fdGivenAccelImpl(const RobotModel &robot, DynamicsWorkspace &ws,
-                 const LaneBatch &in, FdDerivatives *const *out,
+                 const LaneBatch &in, const LaneResults &out,
                  const ColumnPlan *plan)
 {
     LaneArena<W> &la = arenaFor<W>(ws, robot);
     const Lanes<W> ln = resolveLanes<W>(in);
     const int nv = robot.nv();
-    const bool gated = plan != nullptr && !plan->dense();
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
     gatherPacks(la.qd.data(), ln.qd, nv);
-    gatherPacks(la.qddp.data(), ln.qdd, nv);
+    gatherPacks(la.qddp.data(), ln.u, nv);
     gatherMatrixPacks(la.jsout.data(), ln.minv, nv);
     gatherTransforms(robot, la, ln);
 
@@ -1037,58 +1047,39 @@ fdGivenAccelImpl(const RobotModel &robot, DynamicsWorkspace &ws,
     // is skipped and a gated pack's cost scales with the live
     // column count alone.
     rneaDerivSweep(robot, ws, la, la.qd.data(), la.qddp.data(), plan);
-    if (gated) {
-        const int *cols = plan->cols().data();
-        const int ncols = plan->liveCount();
-        mulMatNegIntoCols(la.jsout.data(), la.dtq.data(), la.dqq.data(),
-                          nv, cols, ncols);
-        mulMatNegIntoCols(la.jsout.data(), la.dtqd.data(), la.dqqd.data(),
-                          nv, cols, ncols);
-    } else {
-        mulMatNegInto(la.jsout.data(), la.dtq.data(), la.dqq.data(), nv);
-        mulMatNegInto(la.jsout.data(), la.dtqd.data(), la.dqqd.data(), nv);
-    }
+    minvProduct(la, nv, plan);
 
     for (int l = 0; l < W; ++l) {
         if (!ln.active[l])
             continue;
-        FdDerivatives &o = *out[l];
-        o.qdd = *ln.qdd[l];
-        o.minv = *ln.minv[l];
-        if (gated) {
-            scatterMatrixLaneCols(la.dqq.data(), nv, nv, l, o.dqdd_dq,
-                                  *plan);
-            scatterMatrixLaneCols(la.dqqd.data(), nv, nv, l, o.dqdd_dqd,
-                                  *plan);
-        } else {
-            scatterMatrixLane(la.dqq.data(), nv, nv, l, o.dqdd_dq);
-            scatterMatrixLane(la.dqqd.data(), nv, nv, l, o.dqdd_dqd);
-        }
+        if (out.qdd[l])
+            *out.qdd[l] = *ln.u[l];
+        if (out.minv[l])
+            *out.minv[l] = *ln.minv[l];
     }
+    scatterMatrix(la.dqq.data(), nv, ln, out.d_dq, plan);
+    scatterMatrix(la.dqqd.data(), nv, ln, out.d_dqd, plan);
 }
 
 template <int W>
 void
 minvImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
-         MatrixX *const *minv_out)
+         const LaneResults &out, const ColumnPlan *)
 {
     LaneArena<W> &la = arenaFor<W>(ws, robot);
     const Lanes<W> ln = resolveLanes<W>(in);
-    const int nv = robot.nv();
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
     gatherTransforms(robot, la, ln);
     minvCore(robot, ws, la, false, true, la.jsout.data());
 
-    for (int l = 0; l < W; ++l)
-        if (ln.active[l])
-            scatterMatrixLane(la.jsout.data(), nv, nv, l, *minv_out[l]);
+    scatterMatrix(la.jsout.data(), robot.nv(), ln, out.minv);
 }
 
 template <int W>
 void
 abaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
-        VectorX *const *qdd_out)
+        const LaneResults &out, const ColumnPlan *)
 {
     LaneArena<W> &la = arenaFor<W>(ws, robot);
     const Lanes<W> ln = resolveLanes<W>(in);
@@ -1097,7 +1088,7 @@ abaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
     gatherPacks(la.qd.data(), ln.qd, nv);
-    gatherPacks(la.tau.data(), ln.tau, nv);
+    gatherPacks(la.tau.data(), ln.u, nv);
     gatherTransforms(robot, la, ln);
 
     // Pass 1: velocities and bias terms.
@@ -1213,13 +1204,13 @@ abaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
         }
     }
 
-    scatterVector(la.qddp.data(), nv, ln, qdd_out);
+    scatterVector(la.qddp.data(), nv, ln, out.qdd);
 }
 
 template <int W>
 void
 rneaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
-         VectorX *const *tau_out)
+         const LaneResults &out, const ColumnPlan *)
 {
     LaneArena<W> &la = arenaFor<W>(ws, robot);
     const Lanes<W> ln = resolveLanes<W>(in);
@@ -1227,19 +1218,44 @@ rneaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
 
     gatherPacks(la.q.data(), ln.q, robot.nq());
     gatherPacks(la.qd.data(), ln.qd, nv);
-    gatherPacks(la.qddp.data(), ln.qdd, nv);
+    gatherPacks(la.qddp.data(), ln.u, nv);
     gatherTransforms(robot, la, ln);
 
     rneaSweep(robot, la, la.qd.data(), la.qddp.data(), la.rv.data(),
               la.ra.data(), la.rf.data(), la.bias.data());
 
-    scatterVector(la.bias.data(), nv, ln, tau_out);
+    scatterVector(la.bias.data(), nv, ln, out.tau);
+}
+
+template <int W>
+void
+rneaDerivImpl(const RobotModel &robot, DynamicsWorkspace &ws,
+              const LaneBatch &in, const LaneResults &out,
+              const ColumnPlan *plan)
+{
+    LaneArena<W> &la = arenaFor<W>(ws, robot);
+    const Lanes<W> ln = resolveLanes<W>(in);
+    const int nv = robot.nv();
+
+    gatherPacks(la.q.data(), ln.q, robot.nq());
+    gatherPacks(la.qd.data(), ln.qd, nv);
+    gatherPacks(la.qddp.data(), ln.u, nv);
+    gatherTransforms(robot, la, ln);
+
+    // The scalar ∆ID pair: τ from rnea, then ∆RNEA at the same q̈.
+    rneaSweep(robot, la, la.qd.data(), la.qddp.data(), la.rv.data(),
+              la.ra.data(), la.rf.data(), la.bias.data());
+    rneaDerivSweep(robot, ws, la, la.qd.data(), la.qddp.data(), plan);
+
+    scatterVector(la.bias.data(), nv, ln, out.tau);
+    scatterMatrix(la.dtq.data(), nv, ln, out.d_dq, plan);
+    scatterMatrix(la.dtqd.data(), nv, ln, out.d_dqd, plan);
 }
 
 template <int W>
 void
 crbaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
-         MatrixX *const *m_out)
+         const LaneResults &out, const ColumnPlan *)
 {
     LaneArena<W> &la = arenaFor<W>(ws, robot);
     const Lanes<W> ln = resolveLanes<W>(in);
@@ -1317,26 +1333,29 @@ crbaImpl(const RobotModel &robot, DynamicsWorkspace &ws, const LaneBatch &in,
         }
     }
 
-    for (int l = 0; l < W; ++l)
-        if (ln.active[l])
-            scatterMatrixLane(m, nv, nv, l, *m_out[l]);
+    scatterMatrix(m, nv, ln, out.m);
 }
 
-/** Width dispatch shared by every public entry point. */
-template <template <int> class Unused, typename Fn4, typename Fn8,
-          typename Fn16>
+
+using Impl = void (*)(const RobotModel &, DynamicsWorkspace &,
+                      const LaneBatch &, const LaneResults &,
+                      const ColumnPlan *);
+
+/** One PackKernel over the kernel's three width instantiations. */
+template <Impl F4, Impl F8, Impl F16>
 void
-dispatchWidth(int width, Fn4 &&f4, Fn8 &&f8, Fn16 &&f16)
+byWidth(const RobotModel &robot, DynamicsWorkspace &ws, int width,
+        const LaneBatch &in, const LaneResults &out, const ColumnPlan *plan)
 {
     switch (width) {
       case 4:
-        f4();
+        F4(robot, ws, in, out, plan);
         break;
       case 8:
-        f8();
+        F8(robot, ws, in, out, plan);
         break;
       case 16:
-        f16();
+        F16(robot, ws, in, out, plan);
         break;
       default:
         assert(false && "unsupported SoA lane width");
@@ -1346,93 +1365,21 @@ dispatchWidth(int width, Fn4 &&f4, Fn8 &&f8, Fn16 &&f16)
 
 } // namespace
 
-bool
-laneWidthSupported(int w)
+const KernelSet &
+kernels()
 {
-    return w == 4 || w == 8 || w == 16;
+    static constexpr KernelSet kSet = {
+        byWidth<fdImpl<4>, fdImpl<8>, fdImpl<16>>,
+        byWidth<fdDerivImpl<4>, fdDerivImpl<8>, fdDerivImpl<16>>,
+        byWidth<fdGivenAccelImpl<4>, fdGivenAccelImpl<8>,
+                fdGivenAccelImpl<16>>,
+        byWidth<minvImpl<4>, minvImpl<8>, minvImpl<16>>,
+        byWidth<abaImpl<4>, abaImpl<8>, abaImpl<16>>,
+        byWidth<rneaImpl<4>, rneaImpl<8>, rneaImpl<16>>,
+        byWidth<crbaImpl<4>, crbaImpl<8>, crbaImpl<16>>,
+        byWidth<rneaDerivImpl<4>, rneaDerivImpl<8>, rneaDerivImpl<16>>,
+    };
+    return kSet;
 }
 
-int
-defaultLaneWidth()
-{
-    if (const char *env = std::getenv("DADU_LANE_WIDTH")) {
-        const int w = std::atoi(env);
-        if (w == 1 || laneWidthSupported(w))
-            return w;
-    }
-    return 8;
-}
-
-void
-packForwardDynamics(const RobotModel &robot, DynamicsWorkspace &ws,
-                    int width, const LaneBatch &in, VectorX *const *qdd_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { fdImpl<4>(robot, ws, in, qdd_out); },
-        [&] { fdImpl<8>(robot, ws, in, qdd_out); },
-        [&] { fdImpl<16>(robot, ws, in, qdd_out); });
-}
-
-void
-packFdDerivatives(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-                  const LaneBatch &in, FdDerivatives *const *out,
-                  const ColumnPlan *plan)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { fdDerivImpl<4>(robot, ws, in, out, plan); },
-        [&] { fdDerivImpl<8>(robot, ws, in, out, plan); },
-        [&] { fdDerivImpl<16>(robot, ws, in, out, plan); });
-}
-
-void
-packFdGivenAccel(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-                 const LaneBatch &in, FdDerivatives *const *out,
-                 const ColumnPlan *plan)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { fdGivenAccelImpl<4>(robot, ws, in, out, plan); },
-        [&] { fdGivenAccelImpl<8>(robot, ws, in, out, plan); },
-        [&] { fdGivenAccelImpl<16>(robot, ws, in, out, plan); });
-}
-
-void
-packMinv(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-         const LaneBatch &in, MatrixX *const *minv_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { minvImpl<4>(robot, ws, in, minv_out); },
-        [&] { minvImpl<8>(robot, ws, in, minv_out); },
-        [&] { minvImpl<16>(robot, ws, in, minv_out); });
-}
-
-void
-packAba(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-        const LaneBatch &in, VectorX *const *qdd_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { abaImpl<4>(robot, ws, in, qdd_out); },
-        [&] { abaImpl<8>(robot, ws, in, qdd_out); },
-        [&] { abaImpl<16>(robot, ws, in, qdd_out); });
-}
-
-void
-packRnea(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-         const LaneBatch &in, VectorX *const *tau_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { rneaImpl<4>(robot, ws, in, tau_out); },
-        [&] { rneaImpl<8>(robot, ws, in, tau_out); },
-        [&] { rneaImpl<16>(robot, ws, in, tau_out); });
-}
-
-void
-packCrba(const RobotModel &robot, DynamicsWorkspace &ws, int width,
-         const LaneBatch &in, MatrixX *const *m_out)
-{
-    dispatchWidth<LaneArena>(
-        width, [&] { crbaImpl<4>(robot, ws, in, m_out); },
-        [&] { crbaImpl<8>(robot, ws, in, m_out); },
-        [&] { crbaImpl<16>(robot, ws, in, m_out); });
-}
-
-} // namespace dadu::algo::soa
+} // namespace dadu::algo::soa::DADU_SOA_ISA

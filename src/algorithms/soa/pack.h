@@ -23,6 +23,10 @@
  * per-lane selects (addUnlessZero / subUnlessZero): a compare+blend
  * reproduces the skip semantics exactly, including the -0.0 cases
  * the scalar skip avoids touching.
+ *
+ * Everything here lives in the namespace of the lane-kernel build
+ * that includes it (soa::base or soa::v4, named by DADU_SOA_ISA; see
+ * soa/kernels.cc), so the two builds never share a template instance.
  */
 
 #ifndef DADU_ALGORITHMS_SOA_PACK_H
@@ -36,7 +40,11 @@
 #include "spatial/inertia.h"
 #include "spatial/transform.h"
 
-namespace dadu::algo::soa {
+#ifndef DADU_SOA_ISA
+#error "soa/pack.h belongs to a lane-kernel build: define DADU_SOA_ISA"
+#endif
+
+namespace dadu::algo::soa::DADU_SOA_ISA {
 
 using linalg::Mat3;
 using linalg::Mat66;
@@ -947,6 +955,6 @@ struct PackSmallLdlt
     }
 };
 
-} // namespace dadu::algo::soa
+} // namespace dadu::algo::soa::DADU_SOA_ISA
 
 #endif // DADU_ALGORITHMS_SOA_PACK_H

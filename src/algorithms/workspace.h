@@ -57,6 +57,8 @@ using model::RobotModel;
 struct SoaArenaBase
 {
     virtual ~SoaArenaBase() = default;
+    /** Which lane-kernel build and width made the arena. */
+    const void *kind = nullptr;
 };
 
 /** Reusable arena for all per-call dynamics temporaries. */

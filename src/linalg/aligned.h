@@ -22,8 +22,12 @@
 
 namespace dadu::linalg {
 
-/** Allocation alignment of every dynamics arena (one cache line). */
-inline constexpr std::size_t kArenaAlign = 64;
+/**
+ * Allocation alignment of every dynamics arena (one cache line). Not
+ * an inline variable: the headers of the lane kernels build cleanly
+ * under -fno-weak (CMakeLists.txt), which warns on those.
+ */
+constexpr std::size_t kArenaAlign = 64;
 
 /** True when @p p is aligned to @p align bytes. */
 inline bool

@@ -107,7 +107,8 @@ class Ldlt
 class SmallLdlt
 {
   public:
-    static constexpr int kMaxDim = 6;
+    /** Largest n. An enumerator, not an inline variable: see kArenaAlign. */
+    enum : int { kMaxDim = 6 };
 
     SmallLdlt() = default;
 

@@ -1,7 +1,5 @@
 #include "runtime/backends.h"
 
-#include <cassert>
-
 #include "algorithms/crba.h"
 #include "algorithms/dynamics.h"
 #include "algorithms/mminv_gen.h"
@@ -32,8 +30,8 @@ using perf::nowUs;
 /**
  * Single-point reference execution of one Table I function through
  * the workspace kernels, with optional column gating on the ∆
- * outputs. Shared by the CPU backend's non-batched functions and by
- * the analytic backend's functional path.
+ * outputs. Shared by the CPU backend's fallback (external forces,
+ * mixed masks) and by the analytic backend's functional path.
  */
 void
 referenceExecute(const RobotModel &robot, algo::DynamicsWorkspace &ws,
@@ -105,25 +103,47 @@ fillMeasuredStats(BatchStats *stats, double elapsed_us, std::size_t count)
 // -----------------------------------------------------------------
 
 CpuBatchedBackend::CpuBatchedBackend(const RobotModel &robot, int threads)
-    : robot_(robot), engine_(robot, threads), ws_(robot)
+    : robot_(robot), engine_(robot, threads)
 {}
 
 CpuBatchedBackend::CpuBatchedBackend(const RobotModel &robot,
                                      std::shared_ptr<app::ThreadPool> pool)
-    : robot_(robot), engine_(robot, std::move(pool)), ws_(robot)
+    : robot_(robot), engine_(robot, std::move(pool))
 {}
 
 std::unique_ptr<DynamicsBackend>
 CpuBatchedBackend::clone() const
 {
     // Clones share ONE host-wide worker pool (the bulk gate
-    // serializes their dispatches); workspaces and staging stay
-    // per-clone, so each clone remains independently submittable
-    // from its own lane. The SIMD lane width carries over so a
-    // fleet configured via setLaneWidth stays uniform.
+    // serializes their dispatches); workspaces stay per-clone, so
+    // each clone remains independently submittable from its own
+    // lane. The SIMD lane width carries over so a fleet configured
+    // via setLaneWidth stays uniform.
     auto clone = std::make_unique<CpuBatchedBackend>(robot_, engine_.pool());
     clone->engine_.setLaneWidth(engine_.laneWidth());
     return clone;
+}
+
+bool
+CpuBatchedBackend::enginePath(FunctionType fn,
+                              const DynamicsRequest *requests,
+                              std::size_t count) const
+{
+    for (std::size_t i = 0; i < count; ++i)
+        if (!requests[i].fext.empty())
+            return false;
+    if (gatesColumns(fn))
+        for (std::size_t i = 1; i < count; ++i)
+            if (requests[i].seed_cols != requests[0].seed_cols)
+                return false;
+    if (fn == FunctionType::DeltaiFD) {
+        const auto nv = static_cast<std::size_t>(robot_.nv());
+        for (std::size_t i = 0; i < count; ++i)
+            if (requests[i].minv.rows() != nv ||
+                requests[i].minv.cols() != nv)
+                return false;
+    }
+    return true;
 }
 
 SubmitStatus
@@ -136,41 +156,12 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
     if (!masksValid(fn, requests, count, robot_.nv()))
         return SubmitStatus::InvalidRequest;
 
-    // The engine's columnar fast path covers the batch-shaped
-    // functions; external forces (rare in the MPC workloads) and the
-    // remaining Table I entries take the single-thread reference
-    // kernels. A gated ∆FD/∆iFD batch stays on the engine path only
-    // when the mask is uniform across the batch (the iLQR client's
-    // shape: one drift-derived seed shared by the whole horizon) —
-    // the SoA pack then shares one resolved plan; mixed-mask batches
-    // fall back to the per-point reference kernels. ∆iFD also needs
-    // every request's M⁻¹ input at full joint-space shape.
-    bool engine_path = fn == FunctionType::FD ||
-                       fn == FunctionType::DeltaFD ||
-                       fn == FunctionType::DeltaiFD ||
-                       fn == FunctionType::Minv;
-    for (std::size_t i = 0; engine_path && i < count; ++i) {
-        if (!requests[i].fext.empty())
-            engine_path = false;
-    }
-    if (engine_path &&
-        (fn == FunctionType::DeltaFD || fn == FunctionType::DeltaiFD)) {
-        for (std::size_t i = 1; engine_path && i < count; ++i) {
-            if (requests[i].seed_cols != requests[0].seed_cols)
-                engine_path = false;
-        }
-    }
-    if (engine_path && fn == FunctionType::DeltaiFD) {
-        const int nv = robot_.nv();
-        for (std::size_t i = 0; engine_path && i < count; ++i) {
-            if (static_cast<int>(requests[i].minv.rows()) != nv ||
-                static_cast<int>(requests[i].minv.cols()) != nv)
-                engine_path = false;
-        }
-    }
-
     const double t0 = nowUs();
-    if (!engine_path) {
+    if (enginePath(fn, requests, count)) {
+        runEngine(fn, requests, count, results);
+    } else {
+        // Per-point reference kernels on the engine's own workspace.
+        algo::DynamicsWorkspace &ws = engine_.scratchWorkspace();
         const bool deriv = gatesColumns(fn);
         for (std::size_t i = 0; i < count; ++i) {
             const algo::ColumnPlan *plan = nullptr;
@@ -178,88 +169,77 @@ CpuBatchedBackend::submit(FunctionType fn, const DynamicsRequest *requests,
                 plan_.resolve(requests[i].seed_cols, robot_.nv());
                 plan = &plan_;
             }
-            referenceExecute(robot_, ws_, fd_tmp_, fn, requests[i],
+            referenceExecute(robot_, ws, fd_tmp_, fn, requests[i],
                              results[i], plan);
         }
-        fillMeasuredStats(stats, nowUs() - t0, count);
-        return SubmitStatus::Ok;
     }
-
-    // Stage the struct-of-arrays views the engine dispatches over
-    // (grow-only; element assignment reuses each vector's capacity).
-    // ∆iFD's M⁻¹ inputs are staged as pointers into the requests —
-    // no nv x nv copies.
-    if (q_.size() < count) {
-        q_.resize(count);
-        qd_.resize(count);
-        tau_.resize(count);
-    }
-    if (fn == FunctionType::DeltaiFD && minv_in_.size() < count)
-        minv_in_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        q_[i] = requests[i].q;
-        if (fn != FunctionType::Minv) {
-            qd_[i] = requests[i].qd;
-            tau_[i] = requests[i].qdd_or_tau;
-        }
-        if (fn == FunctionType::DeltaiFD)
-            minv_in_[i] = &requests[i].minv;
-    }
-    const algo::ColumnPlan *plan = nullptr;
-    if ((fn == FunctionType::DeltaFD || fn == FunctionType::DeltaiFD) &&
-        count > 0 && !requests[0].seed_cols.empty()) {
-        plan_.resolve(requests[0].seed_cols, robot_.nv());
-        plan = &plan_;
-    }
-    runEngine(fn, q_.data(), qd_.data(), tau_.data(), count, results, plan);
     fillMeasuredStats(stats, nowUs() - t0, count);
     return SubmitStatus::Ok;
 }
 
 void
-CpuBatchedBackend::runEngine(FunctionType fn, const VectorX *q,
-                             const VectorX *qd, const VectorX *tau,
-                             std::size_t count, DynamicsResult *results,
-                             const algo::ColumnPlan *plan)
+CpuBatchedBackend::runEngine(FunctionType fn,
+                             const DynamicsRequest *requests,
+                             std::size_t count, DynamicsResult *results)
 {
-    const int n = static_cast<int>(count);
+    using Function = algo::BatchedDynamics::Function;
+    using Req = DynamicsRequest;
+    using Res = DynamicsResult;
+    // The engine reads the requests and writes the results in place,
+    // each field through a strided view: nothing is staged or copied.
+    const algo::BatchedDynamics::Inputs in{
+        {requests, &Req::q},
+        {requests, &Req::qd},
+        {requests, &Req::qdd_or_tau},
+        {requests, &Req::minv},
+    };
+    algo::BatchedDynamics::Outputs out;
+    Function f = Function::Fd;
     switch (fn) {
-      case FunctionType::FD: {
-        const auto &qdd = engine_.batchForwardDynamics(q, qd, tau, n);
-        for (std::size_t i = 0; i < count; ++i)
-            results[i].qdd = qdd[i];
+      case FunctionType::ID:
+        f = Function::Id;
+        out.tau = {results, &Res::tau};
         break;
-      }
-      case FunctionType::DeltaFD: {
-        const auto &fd = engine_.batchFdDerivatives(q, qd, tau, n, plan);
-        for (std::size_t i = 0; i < count; ++i) {
-            results[i].qdd = fd[i].qdd;
-            results[i].minv = fd[i].minv;
-            results[i].dqdd_dq = fd[i].dqdd_dq;
-            results[i].dqdd_dqd = fd[i].dqdd_dqd;
-        }
+      case FunctionType::FD:
+        f = Function::Fd;
+        out.qdd = {results, &Res::qdd};
         break;
-      }
-      case FunctionType::DeltaiFD: {
-        // @p tau carries q̈ here (the request's qdd_or_tau slot).
-        const auto &fd = engine_.batchFdDerivativesGivenAccel(
-            q, qd, tau, minv_in_.data(), n, plan);
-        for (std::size_t i = 0; i < count; ++i) {
-            results[i].qdd = fd[i].qdd;
-            results[i].dqdd_dq = fd[i].dqdd_dq;
-            results[i].dqdd_dqd = fd[i].dqdd_dqd;
-        }
+      case FunctionType::M:
+        f = Function::M;
+        out.m = {results, &Res::m};
         break;
-      }
-      case FunctionType::Minv: {
-        const auto &minv = engine_.batchMinv(q, n);
-        for (std::size_t i = 0; i < count; ++i)
-            results[i].minv = minv[i];
+      case FunctionType::Minv:
+        f = Function::Minv;
+        out.minv = {results, &Res::minv};
         break;
-      }
-      default:
-        assert(false && "engine path covers FD/DeltaFD/DeltaiFD/Minv only");
+      case FunctionType::DeltaID:
+        f = Function::DeltaId;
+        out.tau = {results, &Res::tau};
+        out.d_dq = {results, &Res::dtau_dq};
+        out.d_dqd = {results, &Res::dtau_dqd};
+        break;
+      case FunctionType::DeltaFD:
+        f = Function::DeltaFd;
+        out.qdd = {results, &Res::qdd};
+        out.minv = {results, &Res::minv};
+        out.d_dq = {results, &Res::dqdd_dq};
+        out.d_dqd = {results, &Res::dqdd_dqd};
+        break;
+      case FunctionType::DeltaiFD:
+        // q̈ is the input copied through, as in referenceExecute.
+        f = Function::DeltaiFd;
+        out.qdd = {results, &Res::qdd};
+        out.d_dq = {results, &Res::dqdd_dq};
+        out.d_dqd = {results, &Res::dqdd_dqd};
+        break;
     }
+    // A gated batch reaches here only with one mask for every point.
+    const algo::ColumnPlan *plan = nullptr;
+    if (gatesColumns(fn) && count > 0 && !requests[0].seed_cols.empty()) {
+        plan_.resolve(requests[0].seed_cols, robot_.nv());
+        plan = &plan_;
+    }
+    engine_.evaluate(f, in, static_cast<int>(count), out, plan);
 }
 
 // -----------------------------------------------------------------

@@ -33,13 +33,16 @@ namespace dadu::runtime {
 /**
  * Host CPU backend over the zero-allocation batched engine.
  *
- * FD / ∆FD / M⁻¹ batches fan out over the engine's thread pool; the
- * remaining Table I functions (ID, M, ∆ID, ∆iFD) and any request
- * carrying external forces run through the single-thread workspace
- * reference kernels. Steady-state submission with stable batch
- * sizes performs no heap allocation: inputs are staged into
- * grow-only engine vectors and outputs are copied into the caller's
- * reused result storage.
+ * Every Table I function runs on the engine: the batch fans out over
+ * its thread pool in SoA lane packs, which read the requests and
+ * write the results in place. A batch falls back to the
+ * single-thread workspace reference kernels, point by point, when a
+ * request carries external forces, when a derivative batch mixes
+ * column masks (the packs share one plan), or when a ∆iFD request's
+ * M⁻¹ input is not nv x nv. Steady-state submission with stable batch
+ * sizes performs no heap allocation: results reuse the caller's
+ * storage, and the engine keeps no per-point output arrays of its own
+ * for this path.
  *
  * Not thread-safe (one submit at a time), like the engine it wraps.
  */
@@ -51,10 +54,10 @@ class CpuBatchedBackend : public DynamicsBackend
     /**
      * An engine over @p pool instead of an owned worker set — the
      * clone() path: every clone of one backend shares the original's
-     * host-wide pool (per-clone workspaces and staging, shared
-     * workers), so sharding CPU backends across DynamicsServer lanes
-     * on one host serializes on the pool's bulk gate instead of
-     * oversubscribing the cores.
+     * host-wide pool (per-clone workspaces, shared workers), so
+     * sharding CPU backends across DynamicsServer lanes on one host
+     * serializes on the pool's bulk gate instead of oversubscribing
+     * the cores.
      */
     CpuBatchedBackend(const RobotModel &robot,
                       std::shared_ptr<app::ThreadPool> pool);
@@ -64,10 +67,10 @@ class CpuBatchedBackend : public DynamicsBackend
     bool offloaded() const override { return false; }
     /**
      * A second engine over the same robot SHARING this backend's
-     * thread pool (fresh workspaces and staging). Concurrent
-     * submits to the original and its clones are safe: batch
-     * dispatches serialize on the shared pool's bulk gate, so the
-     * host's cores are never oversubscribed.
+     * thread pool (fresh workspaces). Concurrent submits to the
+     * original and its clones are safe: batch dispatches serialize on
+     * the shared pool's bulk gate, so the host's cores are never
+     * oversubscribed.
      */
     std::unique_ptr<DynamicsBackend> clone() const override;
     SubmitStatus submit(FunctionType fn, const DynamicsRequest *requests,
@@ -79,22 +82,17 @@ class CpuBatchedBackend : public DynamicsBackend
     algo::BatchedDynamics &engine() { return engine_; }
 
   private:
-    /** Engine dispatch + result copy over the staged columns. */
-    void runEngine(FunctionType fn, const VectorX *q, const VectorX *qd,
-                   const VectorX *tau, std::size_t count,
-                   DynamicsResult *results,
-                   const algo::ColumnPlan *plan = nullptr);
+    /** True when the batch can run on the engine (see the class doc). */
+    bool enginePath(FunctionType fn, const DynamicsRequest *requests,
+                    std::size_t count) const;
+    /** One engine batch, straight from @p requests into @p results. */
+    void runEngine(FunctionType fn, const DynamicsRequest *requests,
+                   std::size_t count, DynamicsResult *results);
 
     const RobotModel &robot_;
     algo::BatchedDynamics engine_;
-    algo::DynamicsWorkspace ws_;  ///< reference path for non-batched fns
-    algo::FdDerivatives fd_tmp_;  ///< reference-path ∆FD scratch
+    algo::FdDerivatives fd_tmp_;  ///< fallback-path ∆FD scratch
     algo::ColumnPlan plan_;       ///< resolved column mask scratch
-    // Grow-only input staging for the engine's columnar batch API.
-    std::vector<VectorX> q_, qd_, tau_;
-    // ∆iFD M⁻¹ inputs, staged as pointers into the submitted
-    // requests (valid for the duration of the submit call only).
-    std::vector<const linalg::MatrixX *> minv_in_;
 };
 
 /**

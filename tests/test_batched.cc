@@ -8,13 +8,18 @@
  *    calls with different inputs;
  *  - a counted global allocator shows zero heap allocations in the
  *    steady-state hot loop, both for the single-thread workspace
- *    path and for a whole batched dispatch.
+ *    path and for a whole batched dispatch;
+ *  - CpuBatchedBackend runs ID, M and ∆ID on the engine, bitwise
+ *    equal to the scalar kernels, gated ∆ID included; external
+ *    forces and mixed column masks fall back to the per-point
+ *    reference kernels and still match.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <random>
 #include <vector>
@@ -28,7 +33,9 @@
 #include "algorithms/rnea.h"
 #include "algorithms/workspace.h"
 #include "linalg/factorize.h"
+#include "algorithms/rnea_derivatives.h"
 #include "model/builders.h"
+#include "runtime/backends.h"
 #include "test_support.h"
 
 // ---------------------------------------------------------------------
@@ -329,6 +336,201 @@ TEST(BatchedEngine, SingleThreadEngineRunsInline)
         forwardDynamics(robot, ws, in.q[i], in.qd[i], in.tau[i], qdd);
         for (std::size_t k = 0; k < qdd.size(); ++k)
             EXPECT_EQ(batch[i][k], qdd[k]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// CpuBatchedBackend: ID, M and ∆ID on the engine, and the fallback.
+// ---------------------------------------------------------------------
+
+using dadu::runtime::CpuBatchedBackend;
+using dadu::runtime::DynamicsRequest;
+using dadu::runtime::DynamicsResult;
+using dadu::runtime::FunctionType;
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void
+expectSameBits(const VectorX &a, const VectorX &b, const char *what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(sameBits(a[i], b[i])) << what << " entry " << i;
+}
+
+void
+expectSameBits(const MatrixX &a, const MatrixX &b, const char *what)
+{
+    ASSERT_EQ(a.rows(), b.rows()) << what;
+    ASSERT_EQ(a.cols(), b.cols()) << what;
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            EXPECT_TRUE(sameBits(a(r, c), b(r, c)))
+                << what << " (" << r << ", " << c << ")";
+}
+
+/** The scalar kernels of ID, M and ∆ID on one request. */
+DynamicsResult
+scalarIdMDid(const RobotModel &robot, DynamicsWorkspace &ws,
+             FunctionType fn, const DynamicsRequest &r)
+{
+    DynamicsResult out;
+    const auto *fext = r.fext.empty() ? nullptr : &r.fext;
+    ColumnPlan plan;
+    const ColumnPlan *gate = nullptr;
+    if (!r.seed_cols.empty() && plan.resolve(r.seed_cols, robot.nv()))
+        gate = &plan;
+    RneaResult rr;
+    switch (fn) {
+      case FunctionType::ID:
+        rnea(robot, ws, r.q, r.qd, r.qdd_or_tau, rr, fext);
+        out.tau = rr.tau;
+        break;
+      case FunctionType::M:
+        crba(robot, ws, r.q, out.m);
+        break;
+      default: {
+        rnea(robot, ws, r.q, r.qd, r.qdd_or_tau, rr, fext);
+        out.tau = rr.tau;
+        RneaDerivatives did;
+        rneaDerivatives(robot, ws, r.q, r.qd, r.qdd_or_tau, did, fext,
+                        false, gate);
+        out.dtau_dq = did.dtau_dq;
+        out.dtau_dqd = did.dtau_dqd;
+        break;
+      }
+    }
+    return out;
+}
+
+void
+expectMatchesScalar(const RobotModel &robot,
+                    const std::vector<DynamicsRequest> &reqs,
+                    const std::vector<DynamicsResult> &got, FunctionType fn)
+{
+    DynamicsWorkspace ws(robot);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "point " << i);
+        const DynamicsResult want = scalarIdMDid(robot, ws, fn, reqs[i]);
+        if (fn == FunctionType::M) {
+            expectSameBits(want.m, got[i].m, "M");
+            continue;
+        }
+        expectSameBits(want.tau, got[i].tau, "tau");
+        if (fn == FunctionType::DeltaID) {
+            expectSameBits(want.dtau_dq, got[i].dtau_dq, "dtau_dq");
+            expectSameBits(want.dtau_dqd, got[i].dtau_dqd, "dtau_dqd");
+        }
+    }
+}
+
+TEST(CpuBackendEngine, IdMDeltaIdMatchScalarBitwise)
+{
+    for (const auto make : {makeHyq, makeAtlas, dadu::model::makeIiwa}) {
+        const RobotModel robot = make();
+        CpuBatchedBackend backend(robot, 2);
+        backend.engine().setLaneWidth(8);
+        for (int n : {1, 7, 20, 256}) {
+            const auto reqs = dadu::tests::randomRequests(robot, n, 60 + n);
+            for (FunctionType fn :
+                 {FunctionType::ID, FunctionType::M, FunctionType::DeltaID}) {
+                SCOPED_TRACE(testing::Message()
+                             << robot.nv() << "-DOF n=" << n << " "
+                             << dadu::runtime::functionName(fn));
+                std::vector<DynamicsResult> got(n);
+                const std::uint64_t packed = backend.engine().packedPoints();
+                ASSERT_EQ(backend.submit(fn, reqs.data(), n, got.data()),
+                          dadu::runtime::SubmitStatus::Ok);
+                // Two chunks of n/2 points, each packing whole groups
+                // of 8 — the engine ran the batch.
+                const std::uint64_t want_packed = 2 * (n / 2 / 8 * 8);
+                EXPECT_EQ(backend.engine().packedPoints() - packed,
+                          want_packed);
+                expectMatchesScalar(robot, reqs, got, fn);
+            }
+        }
+    }
+}
+
+TEST(CpuBackendEngine, UniformGatedDeltaIdRunsOnEngine)
+{
+    const RobotModel robot = makeHyq();
+    CpuBatchedBackend backend(robot, 1);
+    backend.engine().setLaneWidth(8);
+    const int n = 20;
+    auto reqs = dadu::tests::randomRequests(robot, n, 71);
+    const std::vector<int> seed = {1, 5, 9, 16};
+    for (auto &r : reqs)
+        r.seed_cols = seed;
+    std::vector<DynamicsResult> got(n);
+    const std::uint64_t packed = backend.engine().packedPoints();
+    ASSERT_EQ(backend.submit(FunctionType::DeltaID, reqs.data(), n,
+                             got.data()),
+              dadu::runtime::SubmitStatus::Ok);
+    EXPECT_EQ(backend.engine().packedPoints() - packed, 16u);
+    expectMatchesScalar(robot, reqs, got, FunctionType::DeltaID);
+
+    // Dead columns are exactly +0.0; live ones carry the dense values.
+    ColumnPlan plan;
+    ASSERT_TRUE(plan.resolve(seed, robot.nv()));
+    DynamicsWorkspace ws(robot);
+    RneaDerivatives dense;
+    for (int i = 0; i < n; ++i) {
+        rneaDerivatives(robot, ws, reqs[i].q, reqs[i].qd, reqs[i].qdd_or_tau,
+                        dense);
+        for (int r = 0; r < robot.nv(); ++r)
+            for (int c = 0; c < robot.nv(); ++c) {
+                const bool live = plan.isLive(c);
+                EXPECT_TRUE(sameBits(got[i].dtau_dq(r, c),
+                                     live ? dense.dtau_dq(r, c) : 0.0));
+                EXPECT_TRUE(sameBits(got[i].dtau_dqd(r, c),
+                                     live ? dense.dtau_dqd(r, c) : 0.0));
+            }
+    }
+}
+
+TEST(CpuBackendEngine, MixedMasksAndExternalForcesFallBack)
+{
+    const RobotModel robot = makeHyq();
+    CpuBatchedBackend backend(robot, 2);
+    backend.engine().setLaneWidth(8);
+    const int n = 20;
+
+    // Mixed seeds: the packs share one plan, so the batch runs point by
+    // point through the reference kernels.
+    auto mixed = dadu::tests::randomRequests(robot, n, 73);
+    for (int i = 0; i < n; ++i)
+        mixed[i].seed_cols = i % 2 ? std::vector<int>{2, 7}
+                                   : std::vector<int>{3};
+    std::vector<DynamicsResult> got(n);
+    std::uint64_t packed = backend.engine().packedPoints();
+    ASSERT_EQ(backend.submit(FunctionType::DeltaID, mixed.data(), n,
+                             got.data()),
+              dadu::runtime::SubmitStatus::Ok);
+    EXPECT_EQ(backend.engine().packedPoints(), packed);
+    expectMatchesScalar(robot, mixed, got, FunctionType::DeltaID);
+
+    // External forces: the packs take none.
+    auto forced = dadu::tests::randomRequests(robot, n, 79);
+    std::mt19937 rng(83);
+    std::uniform_real_distribution<double> d(-5.0, 5.0);
+    for (auto &r : forced) {
+        r.fext.resize(static_cast<std::size_t>(robot.nb()));
+        for (auto &f : r.fext)
+            for (int k = 0; k < 6; ++k)
+                f[k] = d(rng);
+    }
+    for (FunctionType fn : {FunctionType::ID, FunctionType::DeltaID}) {
+        SCOPED_TRACE(dadu::runtime::functionName(fn));
+        packed = backend.engine().packedPoints();
+        ASSERT_EQ(backend.submit(fn, forced.data(), n, got.data()),
+                  dadu::runtime::SubmitStatus::Ok);
+        EXPECT_EQ(backend.engine().packedPoints(), packed);
+        expectMatchesScalar(robot, forced, got, fn);
     }
 }
 

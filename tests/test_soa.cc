@@ -5,6 +5,10 @@
  *  - pack kernels (ABA, RNEA, ∆RNEA via ∆FD, FD, M⁻¹, CRBA) are
  *    bitwise identical to the scalar workspace kernels, per lane, on
  *    all three evaluation robots at W ∈ {4, 8};
+ *  - the ∆ID pack, dense and gated, is bitwise identical to the
+ *    scalar rnea + rneaDerivatives pair at W ∈ {4, 8, 16};
+ *  - the default-target and x86-64-v4 builds of every pack kernel
+ *    give the same bits (on hosts that run both);
  *  - masked lanes: inactive lanes are never written;
  *  - the batched engine splits full packs / ragged remainder without
  *    changing any point's bits, at any configured lane width
@@ -21,6 +25,8 @@
 #include <cstring>
 #include <new>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/aba.h"
@@ -32,6 +38,7 @@
 #include "algorithms/soa/kernels.h"
 #include "algorithms/workspace.h"
 #include "linalg/aligned.h"
+#include "algorithms/rnea_derivatives.h"
 #include "model/builders.h"
 #include "runtime/backends.h"
 
@@ -169,6 +176,40 @@ expectBitwise(const linalg::MatrixX &a, const linalg::MatrixX &b,
         }
 }
 
+/** Every field of two results bitwise equal (absent fields included). */
+void
+expectSameResult(const runtime::DynamicsResult &a,
+                 const runtime::DynamicsResult &b)
+{
+    expectBitwise(a.tau, b.tau, "tau");
+    expectBitwise(a.qdd, b.qdd, "qdd");
+    expectBitwise(a.m, b.m, "m");
+    expectBitwise(a.minv, b.minv, "minv");
+    expectBitwise(a.dtau_dq, b.dtau_dq, "dtau_dq");
+    expectBitwise(a.dtau_dqd, b.dtau_dqd, "dtau_dqd");
+    expectBitwise(a.dqdd_dq, b.dqdd_dq, "dqdd_dq");
+    expectBitwise(a.dqdd_dqd, b.dqdd_dqd, "dqdd_dqd");
+}
+
+/**
+ * Output slots of one pack into @p r, lane l into r[l]: every field,
+ * the derivative slots into ∂τ (@p dtau, for ∆ID) or ∂q̈.
+ */
+soa::LaneResults
+slots(std::vector<runtime::DynamicsResult> &r, bool dtau = false)
+{
+    soa::LaneResults s;
+    for (std::size_t l = 0; l < r.size(); ++l) {
+        s.tau[l] = &r[l].tau;
+        s.qdd[l] = &r[l].qdd;
+        s.m[l] = &r[l].m;
+        s.minv[l] = &r[l].minv;
+        s.d_dq[l] = dtau ? &r[l].dtau_dq : &r[l].dqdd_dq;
+        s.d_dqd[l] = dtau ? &r[l].dtau_dqd : &r[l].dqdd_dqd;
+    }
+    return s;
+}
+
 struct Points
 {
     std::vector<linalg::VectorX> q, qd, tau;
@@ -236,51 +277,178 @@ TEST(SoaParity, AllKernelsBitwiseMatchScalar)
             DynamicsWorkspace pws(robot);
             soa::LaneBatch lanes;
             lanes.mask = soa::LaneBatch::fullMask(w);
-            std::vector<linalg::VectorX> o_fd(w), o_aba(w), o_rnea(w);
-            std::vector<FdDerivatives> o_dfd(w);
-            std::vector<linalg::MatrixX> o_minv(w), o_m(w);
-            linalg::VectorX *vp[soa::kMaxLaneWidth];
-            FdDerivatives *dp[soa::kMaxLaneWidth];
-            linalg::MatrixX *mp[soa::kMaxLaneWidth];
             for (int l = 0; l < w; ++l) {
                 lanes.q[l] = &p.q[l];
                 lanes.qd[l] = &p.qd[l];
-                lanes.tau[l] = &p.tau[l];
-                lanes.qdd[l] = &s_aba[l];
             }
-
-            for (int l = 0; l < w; ++l)
-                vp[l] = &o_fd[l];
-            soa::packForwardDynamics(robot, pws, w, lanes, vp);
-            for (int l = 0; l < w; ++l)
-                vp[l] = &o_aba[l];
-            soa::packAba(robot, pws, w, lanes, vp);
-            for (int l = 0; l < w; ++l)
-                vp[l] = &o_rnea[l];
-            soa::packRnea(robot, pws, w, lanes, vp);
-            for (int l = 0; l < w; ++l)
-                dp[l] = &o_dfd[l];
-            soa::packFdDerivatives(robot, pws, w, lanes, dp);
-            for (int l = 0; l < w; ++l)
-                mp[l] = &o_minv[l];
-            soa::packMinv(robot, pws, w, lanes, mp);
-            for (int l = 0; l < w; ++l)
-                mp[l] = &o_m[l];
-            soa::packCrba(robot, pws, w, lanes, mp);
+            auto withU = [&](const std::vector<linalg::VectorX> &u) {
+                for (int l = 0; l < w; ++l)
+                    lanes.u[l] = &u[l];
+                return lanes;
+            };
+            std::vector<runtime::DynamicsResult> o_fd(w), o_aba(w),
+                o_rnea(w), o_dfd(w), o_minv(w), o_m(w);
+            soa::packForwardDynamics(robot, pws, w, withU(p.tau),
+                                     slots(o_fd));
+            soa::packAba(robot, pws, w, withU(p.tau), slots(o_aba));
+            soa::packRnea(robot, pws, w, withU(s_aba), slots(o_rnea));
+            soa::packFdDerivatives(robot, pws, w, withU(p.tau),
+                                   slots(o_dfd));
+            soa::packMinv(robot, pws, w, lanes, slots(o_minv));
+            soa::packCrba(robot, pws, w, lanes, slots(o_m));
 
             for (int l = 0; l < w; ++l) {
                 SCOPED_TRACE(testing::Message() << "lane " << l);
-                expectBitwise(s_fd[l], o_fd[l], "FD qdd");
-                expectBitwise(s_aba[l], o_aba[l], "ABA qdd");
-                expectBitwise(s_rnea[l], o_rnea[l], "RNEA tau");
+                expectBitwise(s_fd[l], o_fd[l].qdd, "FD qdd");
+                expectBitwise(s_aba[l], o_aba[l].qdd, "ABA qdd");
+                expectBitwise(s_rnea[l], o_rnea[l].tau, "RNEA tau");
                 expectBitwise(s_dfd[l].qdd, o_dfd[l].qdd, "dFD qdd");
                 expectBitwise(s_dfd[l].minv, o_dfd[l].minv, "dFD minv");
                 expectBitwise(s_dfd[l].dqdd_dq, o_dfd[l].dqdd_dq,
                               "dFD dqdd_dq");
                 expectBitwise(s_dfd[l].dqdd_dqd, o_dfd[l].dqdd_dqd,
                               "dFD dqdd_dqd");
-                expectBitwise(s_minv[l], o_minv[l], "Minv");
-                expectBitwise(s_m[l], o_m[l], "CRBA M");
+                expectBitwise(s_minv[l], o_minv[l].minv, "Minv");
+                expectBitwise(s_m[l], o_m[l].m, "CRBA M");
+                // Each kernel writes its own fields only.
+                EXPECT_EQ(o_fd[l].minv.rows(), 0u);
+                EXPECT_EQ(o_m[l].qdd.size(), 0u);
+            }
+        }
+    }
+}
+
+// -----------------------------------------------------------------
+// ∆ID pack vs the scalar rnea + rneaDerivatives pair, dense and
+// gated, W in {4, 8, 16}, with an inactive lane.
+// -----------------------------------------------------------------
+
+TEST(SoaParity, RneaDerivativesBitwiseMatchScalar)
+{
+    const double sentinel = -1234.5;
+    for (const auto &rc : kRobots) {
+        const model::RobotModel robot = rc.make();
+        const int nv = robot.nv();
+        ColumnPlan gated;
+        ASSERT_TRUE(gated.resolve({0, nv / 2, nv - 1}, nv));
+        ASSERT_FALSE(gated.dense());
+        for (int w : {4, 8, 16}) {
+            for (const ColumnPlan *plan : {(const ColumnPlan *)nullptr,
+                                           (const ColumnPlan *)&gated}) {
+                SCOPED_TRACE(testing::Message()
+                             << rc.name << " W=" << w
+                             << (plan ? " gated" : " dense"));
+                const Points p = randomPoints(robot, w, 31);
+                const unsigned mask = soa::LaneBatch::fullMask(w) & ~2u;
+
+                DynamicsWorkspace sws(robot);
+                DynamicsWorkspace pws(robot);
+                soa::LaneBatch lanes;
+                lanes.mask = mask;
+                std::vector<runtime::DynamicsResult> got(w);
+                for (int l = 0; l < w; ++l) {
+                    lanes.q[l] = &p.q[l];
+                    lanes.qd[l] = &p.qd[l];
+                    lanes.u[l] = &p.tau[l]; // read as q̈
+                    got[l].tau = linalg::VectorX(1);
+                    got[l].tau[0] = sentinel;
+                }
+                soa::packRneaDerivatives(robot, pws, w, lanes,
+                                         slots(got, true), plan);
+
+                RneaResult rr;
+                RneaDerivatives did;
+                for (int l = 0; l < w; ++l) {
+                    SCOPED_TRACE(testing::Message() << "lane " << l);
+                    if (!(mask >> l & 1u)) {
+                        ASSERT_EQ(got[l].tau.size(), 1u);
+                        EXPECT_EQ(got[l].tau[0], sentinel);
+                        EXPECT_EQ(got[l].dtau_dq.rows(), 0u);
+                        continue;
+                    }
+                    rnea(robot, sws, p.q[l], p.qd[l], p.tau[l], rr);
+                    rneaDerivatives(robot, sws, p.q[l], p.qd[l], p.tau[l],
+                                    did, nullptr, false, plan);
+                    expectBitwise(rr.tau, got[l].tau, "dID tau");
+                    expectBitwise(did.dtau_dq, got[l].dtau_dq,
+                                  "dID dtau_dq");
+                    expectBitwise(did.dtau_dqd, got[l].dtau_dqd,
+                                  "dID dtau_dqd");
+                    if (plan)
+                        for (int c = 0; c < nv; ++c)
+                            if (!plan->isLive(c))
+                                for (int r = 0; r < nv; ++r) {
+                                    EXPECT_EQ(got[l].dtau_dq(r, c), 0.0);
+                                    EXPECT_EQ(got[l].dtau_dqd(r, c), 0.0);
+                                }
+                }
+            }
+        }
+    }
+}
+
+// -----------------------------------------------------------------
+// The default-target and x86-64-v4 builds of the lane kernels agree
+// bit for bit on every kernel, dense and gated, masked lanes
+// included.
+// -----------------------------------------------------------------
+
+TEST(SoaIsa, V4BuildBitwiseMatchesDefaultBuild)
+{
+    const char *why = "";
+    const soa::KernelSet *v4 = soa::v4Kernels(&why);
+    if (v4 == nullptr)
+        GTEST_SKIP() << "no x86-64-v4 kernels to compare: " << why;
+    const soa::KernelSet &base = soa::base::kernels();
+    EXPECT_EQ(&soa::activeKernels(), v4)
+        << "a host that runs v4 must dispatch to it";
+
+    using K = soa::PackKernel soa::KernelSet::*;
+    const std::pair<const char *, K> kernels[] = {
+        {"FD", &soa::KernelSet::forwardDynamics},
+        {"dFD", &soa::KernelSet::fdDerivatives},
+        {"diFD", &soa::KernelSet::fdGivenAccel},
+        {"Minv", &soa::KernelSet::minv},
+        {"ABA", &soa::KernelSet::aba},
+        {"RNEA", &soa::KernelSet::rnea},
+        {"CRBA", &soa::KernelSet::crba},
+        {"dID", &soa::KernelSet::rneaDerivatives},
+    };
+    for (const auto &rc : kRobots) {
+        const model::RobotModel robot = rc.make();
+        const int nv = robot.nv();
+        ColumnPlan gated;
+        ASSERT_TRUE(gated.resolve({1, nv - 2}, nv));
+        for (int w : {4, 8, 16}) {
+            const Points p = randomPoints(robot, w, 37);
+            DynamicsWorkspace sws(robot);
+            std::vector<linalg::MatrixX> minv(w);
+            for (int l = 0; l < w; ++l)
+                massMatrixInverse(robot, sws, p.q[l], minv[l]);
+            soa::LaneBatch lanes;
+            lanes.mask = soa::LaneBatch::fullMask(w) & ~4u;
+            for (int l = 0; l < w; ++l) {
+                lanes.q[l] = &p.q[l];
+                lanes.qd[l] = &p.qd[l];
+                lanes.u[l] = &p.tau[l];
+                lanes.minv[l] = &minv[l];
+            }
+            DynamicsWorkspace ws_base(robot), ws_v4(robot);
+            for (const auto &[name, k] : kernels) {
+                for (const ColumnPlan *plan :
+                     {(const ColumnPlan *)nullptr,
+                      (const ColumnPlan *)&gated}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << rc.name << " W=" << w << " " << name
+                                 << (plan ? " gated" : " dense"));
+                    const bool dtau = std::string(name) == "dID";
+                    std::vector<runtime::DynamicsResult> a(w), b(w);
+                    (base.*k)(robot, ws_base, w, lanes, slots(a, dtau),
+                              plan);
+                    (v4->*k)(robot, ws_v4, w, lanes, slots(b, dtau), plan);
+                    for (int l = 0; l < w; ++l)
+                        expectSameResult(a[l], b[l]);
+                }
             }
         }
     }
@@ -306,23 +474,20 @@ TEST(SoaMask, InactiveLanesNeverWritten)
     DynamicsWorkspace pws(robot);
     soa::LaneBatch lanes;
     lanes.mask = mask;
-    std::vector<FdDerivatives> got(w);
-    FdDerivatives *dp[soa::kMaxLaneWidth] = {};
+    std::vector<runtime::DynamicsResult> got(w);
     const double sentinel = -1234.5;
     for (int l = 0; l < w; ++l) {
         if (mask >> l & 1u) {
             lanes.q[l] = &p.q[l];
             lanes.qd[l] = &p.qd[l];
-            lanes.tau[l] = &p.tau[l];
-            dp[l] = &got[l];
+            lanes.u[l] = &p.tau[l];
         } else {
             // Inactive: no input, and the output must stay untouched.
-            got[l].qdd.resize(1);
+            got[l].qdd = linalg::VectorX(1);
             got[l].qdd[0] = sentinel;
-            dp[l] = &got[l];
         }
     }
-    soa::packFdDerivatives(robot, pws, w, lanes, dp);
+    soa::packFdDerivatives(robot, pws, w, lanes, slots(got));
 
     for (int l = 0; l < w; ++l) {
         SCOPED_TRACE(testing::Message() << "lane " << l);
@@ -476,6 +641,7 @@ TEST(SoaZeroAlloc, PackedBackendSubmitSteadyState)
 {
     const model::RobotModel robot = model::makeIiwa();
     runtime::CpuBatchedBackend backend(robot, 1);
+    backend.engine().setLaneWidth(8);
     const int n = 13;
 
     std::mt19937 rng(29);
@@ -487,19 +653,25 @@ TEST(SoaZeroAlloc, PackedBackendSubmitSteadyState)
     }
     std::vector<runtime::DynamicsResult> results(n);
 
+    // Every function through the packs, one after another on the same
+    // results — the mix a server lane sees.
+    using runtime::FunctionType;
+    const FunctionType fns[] = {FunctionType::DeltaFD, FunctionType::FD,
+                                FunctionType::ID, FunctionType::M,
+                                FunctionType::DeltaID};
     runtime::BatchStats stats;
-    backend.submit(runtime::FunctionType::DeltaFD, reqs.data(), n,
-                   results.data(), &stats);
-    backend.submit(runtime::FunctionType::FD, reqs.data(), n,
-                   results.data(), &stats);
+    for (FunctionType fn : fns)
+        backend.submit(fn, reqs.data(), n, results.data(), &stats);
+    const std::uint64_t packed = backend.engine().packedPoints();
 
     g_alloc_count.store(0);
     g_count_allocs.store(true);
-    backend.submit(runtime::FunctionType::DeltaFD, reqs.data(), n,
-                   results.data(), &stats);
-    backend.submit(runtime::FunctionType::FD, reqs.data(), n,
-                   results.data(), &stats);
+    for (FunctionType fn : fns)
+        backend.submit(fn, reqs.data(), n, results.data(), &stats);
     g_count_allocs.store(false);
+    EXPECT_EQ(backend.engine().packedPoints() - packed,
+              std::size(fns) * 8u)
+        << "each submit packs one full lane group of 8";
     EXPECT_EQ(g_alloc_count.load(), 0)
         << "steady-state packed submits must not allocate";
 }

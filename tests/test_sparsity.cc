@@ -288,19 +288,15 @@ TEST_P(SparsityTest, GivenAccelSoaMatchesMaskedScalarBitwise)
             minv.push_back(fd[i].minv);
         }
     }
-    std::vector<const MatrixX *> minv_ptrs;
-    for (int i = 0; i < 13; ++i)
-        minv_ptrs.push_back(&minv[i]);
-
     engine.setLaneWidth(1); // pure scalar path
     const std::vector<FdDerivatives> scalar =
         engine.batchFdDerivativesGivenAccel(in.q.data(), in.qd.data(),
-                                            qdd.data(), minv_ptrs.data(),
+                                            qdd.data(), minv.data(),
                                             13, &plan);
     engine.setLaneWidth(8); // SoA packs + scalar remainder
     const std::vector<FdDerivatives> &soa =
         engine.batchFdDerivativesGivenAccel(in.q.data(), in.qd.data(),
-                                            qdd.data(), minv_ptrs.data(),
+                                            qdd.data(), minv.data(),
                                             13, &plan);
 
     for (int i = 0; i < 13; ++i) {
