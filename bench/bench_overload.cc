@@ -135,8 +135,7 @@ runOverload(Accelerator &accel, const SchedConfig &cfg,
         // Injected faults record onto the injecting lane's own ring
         // (same producer thread as the lane's lifecycle events).
         for (int l = 0; l < kLanes; ++l)
-            lanes[static_cast<std::size_t>(l)]->setTraceRing(
-                &server.traceBuffer()->lane(l), l);
+            lanes[static_cast<std::size_t>(l)]->attachTrace(server, l);
     if (use_admission) {
         runtime::sched::AdmissionConfig acfg;
         acfg.max_queue_depth = 3; // bulk backlog bound per lane

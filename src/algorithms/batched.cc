@@ -1,5 +1,6 @@
 #include "algorithms/batched.h"
 
+#include <algorithm>
 #include <cassert>
 #include <thread>
 
@@ -40,6 +41,17 @@ packKernel(BatchedDynamics::Function fn)
       case F::DeltaiFd: return k.fdGivenAccel;
     }
     return nullptr;
+}
+
+/** The narrowest supported lane width that holds @p r points (r ≤ 16). */
+int
+packWidthFor(int r)
+{
+    int pw = 4;
+    while (pw < r)
+        pw *= 2;
+    assert(soa::laneWidthSupported(pw));
+    return pw;
 }
 
 /** Copy @p v into slot @p i of @p out, when the caller wants it. */
@@ -92,19 +104,23 @@ BatchedDynamics::runChunk(void *ctx, int chunk)
     const Inputs &in = self->in_;
     const Outputs &out = self->out_;
 
-    // Pack full lane groups through the SoA kernels, then run the
-    // ragged remainder through the scalar path. Both mirror the same
-    // reference arithmetic, so where the split falls never changes a
-    // point's bits.
+    // Pack full lane groups through the SoA kernels, then the ragged
+    // remainder of r ≥ 2 points as one masked pack at the narrowest
+    // supported width that holds it; a single point runs through the
+    // scalar path. All three mirror the same reference arithmetic, so
+    // where the split falls never changes a point's bits.
     const int w = self->lane_width_;
     int i = begin;
     if (w > 1) {
         const soa::PackKernel pack = packKernel(self->fn_);
+        // Lanes past r keep the previous pack's pointers: the kernels
+        // neither read nor write a lane outside the mask.
         soa::LaneBatch lanes;
-        lanes.mask = soa::LaneBatch::fullMask(w);
         soa::LaneResults res;
-        for (; i + w <= end; i += w) {
-            for (int l = 0; l < w; ++l) {
+        while (end - i >= 2) {
+            const int r = std::min(w, end - i);
+            lanes.mask = soa::LaneBatch::fullMask(r);
+            for (int l = 0; l < r; ++l) {
                 const int p = i + l;
                 lanes.q[l] = &in.q[p];
                 lanes.qd[l] = in.qd ? &in.qd[p] : nullptr;
@@ -117,7 +133,8 @@ BatchedDynamics::runChunk(void *ctx, int chunk)
                 res.d_dq[l] = out.d_dq ? &out.d_dq[p] : nullptr;
                 res.d_dqd[l] = out.d_dqd ? &out.d_dqd[p] : nullptr;
             }
-            pack(self->robot_, ws, w, lanes, res, self->plan_);
+            pack(self->robot_, ws, packWidthFor(r), lanes, res, self->plan_);
+            i += r;
         }
         if (i > begin)
             self->packed_points_.fetch_add(

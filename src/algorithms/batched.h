@@ -18,13 +18,18 @@
  *
  * Within a chunk, points are packed into SIMD lane packs of width W
  * (4, 8 or 16; see src/algorithms/soa/) and evaluated by the
- * lane-parallel SoA kernels, with the ragged remainder falling back
- * to the scalar workspace kernels. The SoA kernels mirror the scalar
- * algorithms expression by expression, so results stay bitwise
- * identical to the single-point reference regardless of lane width,
- * thread count or which build of the lane kernels the CPU runs:
- * chunking and packing only change which thread and which register
- * lane (not in which order, per point) the arithmetic runs.
+ * lane-parallel SoA kernels. A ragged remainder of r ≥ 2 points runs
+ * as one masked pack at the narrowest supported width that holds it
+ * (r = 5 at W = 8 is a W = 8 pack with 3 idle lanes; r = 3 a W = 4
+ * pack), so the 20-knot ∆FD batch of an MPC tick packs 16 + 4 and no
+ * point of it runs scalar; only a lone last point (and the W = 1
+ * path) takes the scalar workspace kernels. The SoA kernels mirror
+ * the scalar algorithms expression by expression and never write an
+ * idle lane, so results stay bitwise identical to the single-point
+ * reference regardless of lane width, remainder, thread count or
+ * which build of the lane kernels the CPU runs: chunking and packing
+ * only change which thread and which register lane (not in which
+ * order, per point) the arithmetic runs.
  */
 
 #ifndef DADU_ALGORITHMS_BATCHED_H
@@ -177,7 +182,7 @@ class BatchedDynamics
      *             (∆ID, ∆FD, ∆iFD), shared by the whole batch: live
      *             columns of the derivatives are bitwise identical to
      *             the dense batch, dead columns exactly 0.0, on both
-     *             the SoA and the scalar-remainder path. Null = dense.
+     *             the SoA and the scalar path. Null = dense.
      */
     void evaluate(Function fn, const Inputs &in, int n, const Outputs &out,
                   const ColumnPlan *plan = nullptr);
@@ -237,8 +242,9 @@ class BatchedDynamics
     const std::vector<linalg::MatrixX> &batchMinv(const VectorX *q, int n);
 
     /**
-     * Select the SIMD lane width: 4, 8 or 16 routes full packs
-     * through the SoA kernels (remainder scalar); 1 forces the pure
+     * Select the SIMD lane width: 4, 8 or 16 routes packs of that
+     * width through the SoA kernels (the remainder as one narrower
+     * masked pack, a lone last point scalar); 1 forces the pure
      * scalar path. The default is soa::defaultLaneWidth() (the
      * DADU_LANE_WIDTH environment override, else 8). Unsupported
      * widths are ignored. Outputs are bitwise invariant under this
@@ -249,7 +255,8 @@ class BatchedDynamics
     /** Current SIMD lane width (1 = scalar path). */
     int laneWidth() const { return lane_width_; }
 
-    /** Points evaluated in SoA lane packs so far (the rest ran scalar). */
+    /** Points evaluated in SoA lane packs so far, masked remainder
+     *  packs included (the rest ran scalar). */
     std::uint64_t
     packedPoints() const
     {

@@ -1,11 +1,13 @@
 /**
  * @file
  * The pack* entry points and the run-time choice between the lane
- * kernels' builds (soa/kernels.cc). Compiled once, for the default
- * target: nothing here may run an instruction the host lacks.
+ * kernels' builds (soa/kernels.cc), on the probe linalg/isa.h shares
+ * with the dense products. Compiled once, for the default target:
+ * nothing here may run an instruction the host lacks.
  */
 
 #include "algorithms/soa/kernels.h"
+#include "linalg/isa.h"
 
 #include <cstdlib>
 
@@ -31,20 +33,13 @@ defaultLaneWidth()
 const KernelSet *
 v4Kernels(const char **why)
 {
-#ifdef DADU_SOA_HAVE_V4
-    static const bool host_ok = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("x86-64-v4") != 0;
-    }();
-    if (host_ok)
-        return &v4::kernels();
-    if (why)
-        *why = "this CPU does not support x86-64-v4 (AVX-512)";
+    if (!linalg::runsV4(why))
+        return nullptr;
+#ifdef DADU_HAVE_V4
+    return &v4::kernels();
 #else
-    if (why)
-        *why = "the compiler did not build the x86-64-v4 kernels";
+    return nullptr; // not reached: runsV4 is false without the build
 #endif
-    return nullptr;
 }
 
 const KernelSet &

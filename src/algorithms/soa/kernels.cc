@@ -2,9 +2,9 @@
  * @file
  * The lane kernels, compiled once per instruction-set build: the
  * library compiles this file for its default target with
- * DADU_SOA_ISA = base, and again for x86-64-v4 with DADU_SOA_ISA = v4
+ * DADU_ISA = base, and again for x86-64-v4 with DADU_ISA = v4
  * (CMakeLists.txt). Everything the file defines, pack.h's templates
- * included, lives in soa::DADU_SOA_ISA, and the build's only exported
+ * included, lives in soa::DADU_ISA, and the build's only exported
  * symbol is that namespace's kernels() table; soa/dispatch.cc picks a
  * table at run time.
  */
@@ -16,15 +16,15 @@
 #include <cmath>
 #include <memory>
 
-#ifndef DADU_SOA_ISA
-#define DADU_SOA_ISA base
+#ifndef DADU_ISA
+#define DADU_ISA base
 #endif
 
 #include "algorithms/soa/pack.h"
 #include "linalg/aligned.h"
 #include "spatial/transform.h"
 
-namespace dadu::algo::soa::DADU_SOA_ISA {
+namespace dadu::algo::soa::DADU_ISA {
 
 namespace {
 
@@ -1382,4 +1382,4 @@ kernels()
     return kSet;
 }
 
-} // namespace dadu::algo::soa::DADU_SOA_ISA
+} // namespace dadu::algo::soa::DADU_ISA

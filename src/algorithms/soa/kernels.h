@@ -14,8 +14,14 @@
  * and once for x86-64-v4 (AVX-512) when the compiler accepts it, each
  * build in its own namespace (soa::base, soa::v4). The pack* entry
  * points run the v4 build on CPUs that support it and the default
- * build elsewhere, chosen once per process. IEEE arithmetic without
+ * build elsewhere, chosen once per process by the probe the dense
+ * products share (linalg/isa.h), so the lane kernels and the Riccati
+ * sweep's GEMMs always run the same build. IEEE arithmetic without
  * contraction is exact in either, so both builds give the same bits.
+ *
+ * The batched engine runs a ragged remainder as one masked pack at
+ * the narrowest width that holds it (batched.h), so masked lanes are
+ * on the hot path of every batch whose size is not a multiple of W.
  *
  * Masking: `LaneBatch::mask` marks the active lanes. Inactive lanes
  * are padded internally by replicating the first active lane's

@@ -25,7 +25,7 @@
  * the scalar skip avoids touching.
  *
  * Everything here lives in the namespace of the lane-kernel build
- * that includes it (soa::base or soa::v4, named by DADU_SOA_ISA; see
+ * that includes it (soa::base or soa::v4, named by DADU_ISA; see
  * soa/kernels.cc), so the two builds never share a template instance.
  */
 
@@ -40,11 +40,11 @@
 #include "spatial/inertia.h"
 #include "spatial/transform.h"
 
-#ifndef DADU_SOA_ISA
-#error "soa/pack.h belongs to a lane-kernel build: define DADU_SOA_ISA"
+#ifndef DADU_ISA
+#error "soa/pack.h belongs to a lane-kernel build: define DADU_ISA"
 #endif
 
-namespace dadu::algo::soa::DADU_SOA_ISA {
+namespace dadu::algo::soa::DADU_ISA {
 
 using linalg::Mat3;
 using linalg::Mat66;
@@ -955,6 +955,6 @@ struct PackSmallLdlt
     }
 };
 
-} // namespace dadu::algo::soa::DADU_SOA_ISA
+} // namespace dadu::algo::soa::DADU_ISA
 
 #endif // DADU_ALGORITHMS_SOA_PACK_H

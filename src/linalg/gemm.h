@@ -4,8 +4,16 @@
  *
  * The iLQR Riccati sweep multiplies blocks of row-major matrices
  * (a sub-block of a MatrixX is a pointer plus its row stride). These
- * kernels tile the OUTPUT in 4x4 register blocks (narrower blocks at
- * the edges) and vectorize across output columns only.
+ * kernels tile the OUTPUT in register blocks of 4 rows and vectorize
+ * across output columns only.
+ *
+ * Two builds, like the SoA lane kernels: gemm.cc is compiled once for
+ * the default target (4 x 4 tiles of SSE2 pairs, 2-column and
+ * 1-column edges) and once for x86-64-v4 (4 x 16 tiles of AVX-512
+ * vectors, 8-, 4-, 2- and 1-column edges), each in its own namespace
+ * (linalg::base, linalg::v4). gemmAccumulate and gemmTransAccumulate
+ * run the v4 build exactly where the lane kernels do (linalg/isa.h),
+ * chosen once per process.
  *
  * Bitwise contract: every output element accumulates onto its value
  * in C one product at a time, in ascending inner index — the order of
@@ -15,7 +23,8 @@
  * unchanged, and a sum that starts at +0 stays +0), so with C zeroed
  * first the results are bitwise equal to the MatrixX products. No
  * FMA contraction (the build passes -ffp-contract=off), no split
- * accumulators.
+ * accumulators — so the tile width, and with it the build, never
+ * changes a bit.
  */
 
 #ifndef DADU_LINALG_GEMM_H
@@ -36,6 +45,35 @@ void gemmAccumulate(int m, int n, int k, const double *a, int lda,
  */
 void gemmTransAccumulate(int m, int n, int k, const double *a, int lda,
                          const double *b, int ldb, double *c, int ldc);
+
+/** The signature of gemmAccumulate and gemmTransAccumulate. */
+using GemmKernel = void (*)(int m, int n, int k, const double *a, int lda,
+                            const double *b, int ldb, double *c, int ldc);
+
+/** One build of the products. */
+struct GemmSet
+{
+    GemmKernel accumulate, transAccumulate;
+};
+
+/**
+ * The x86-64-v4 build, or null when the compiler could not build it
+ * or this CPU cannot run it; @p why (if given) then names the reason.
+ */
+const GemmSet *v4Gemm(const char **why = nullptr);
+
+/** The build gemmAccumulate and gemmTransAccumulate run. */
+const GemmSet &activeGemm();
+
+// The per-build tables, defined by each compilation of gemm.cc: base
+// for the compiler's default target, v4 only where it was built
+// (reach it through v4Gemm()).
+namespace base {
+const GemmSet &gemmKernels();
+}
+namespace v4 {
+const GemmSet &gemmKernels();
+}
 
 } // namespace dadu::linalg
 

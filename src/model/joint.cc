@@ -214,8 +214,9 @@ namespace {
 /**
  * Rotation vector ω with a.integrated(ω) == b (the log map of
  * conj(a) ∘ b, shortest arc). Inverse of Quaternion::integrated.
+ * DADU_NO_SLP: the conj(a) ∘ b product must not fuse (quaternion.h).
  */
-Vec3
+DADU_NO_SLP Vec3
 quaternionDifference(const Quaternion &a, const Quaternion &b)
 {
     // conj(a) ∘ b without materializing the conjugate.

@@ -21,6 +21,22 @@ namespace dadu::model {
 using linalg::Mat3;
 using linalg::Vec3;
 
+/**
+ * Keeps GCC's SLP vectorizer off a quaternion product. Its sign
+ * pattern alternates across the four components, and GCC 12's SLP
+ * pass turns such an add/subtract of products into vfmaddsub at
+ * -march=x86-64-v3 and above although the build passes
+ * -ffp-contract=off: one rounding instead of two, so the bits of
+ * RobotModel::integrate and difference would depend on the target.
+ * Without SLP every product rounds on its own at any -march, as in
+ * the default (SSE2) build. Other compilers honour -ffp-contract=off.
+ */
+#if defined(__GNUC__) && !defined(__clang__)
+#define DADU_NO_SLP __attribute__((optimize("no-tree-slp-vectorize")))
+#else
+#define DADU_NO_SLP
+#endif
+
 /** Unit quaternion (x, y, z, w). */
 struct Quaternion
 {
@@ -53,7 +69,7 @@ struct Quaternion
     }
 
     /** Hamilton product (*this) ∘ other. */
-    Quaternion
+    DADU_NO_SLP Quaternion
     operator*(const Quaternion &o) const
     {
         return {w * o.x + x * o.w + y * o.z - z * o.y,

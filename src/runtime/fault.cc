@@ -9,7 +9,7 @@
 #include <limits>
 #include <thread>
 
-#include "perf/timing.h"
+#include "runtime/server.h"
 
 namespace dadu::runtime {
 
@@ -49,6 +49,15 @@ FaultInjectingBackend::clone() const
     plan.seed = plan_.seed + 7919u * ++clone_count_;
     return std::make_unique<FaultInjectingBackend>(std::move(inner_clone),
                                                    plan);
+}
+
+void
+FaultInjectingBackend::attachTrace(DynamicsServer &server, int lane)
+{
+    obs::TraceBuffer *buf = server.traceBuffer();
+    trace_ring_ = buf ? &buf->lane(lane) : nullptr;
+    trace_lane_ = lane;
+    clock_ = server.clock();
 }
 
 bool
@@ -116,7 +125,7 @@ FaultInjectingBackend::submit(FunctionType fn,
         (plan_.die_after_batches >= 0 && executed_ >= plan_.die_after_batches))
     {
         if (trace_ring_ && !dead_)
-            trace_ring_->record(obs::EventKind::Fault, perf::nowUs(), -1,
+            trace_ring_->record(obs::EventKind::Fault, clock_(), -1,
                                 static_cast<std::int16_t>(trace_lane_),
                                 fn, kFaultDeath,
                                 static_cast<double>(batches_));
@@ -135,7 +144,7 @@ FaultInjectingBackend::submit(FunctionType fn,
     if (transient) {
         ++transient_faults_;
         if (trace_ring_)
-            trace_ring_->record(obs::EventKind::Fault, perf::nowUs(), -1,
+            trace_ring_->record(obs::EventKind::Fault, clock_(), -1,
                                 static_cast<std::int16_t>(trace_lane_),
                                 fn, kFaultTransient,
                                 static_cast<double>(batches_));
@@ -159,7 +168,7 @@ FaultInjectingBackend::submit(FunctionType fn,
         ++corrupted_;
         corruptOne(fn, results, count);
         if (trace_ring_)
-            trace_ring_->record(obs::EventKind::Fault, perf::nowUs(), -1,
+            trace_ring_->record(obs::EventKind::Fault, clock_(), -1,
                                 static_cast<std::int16_t>(trace_lane_),
                                 fn, kFaultCorrupt,
                                 static_cast<double>(batches_));
@@ -169,7 +178,7 @@ FaultInjectingBackend::submit(FunctionType fn,
         if (stats)
             stats->total_us += plan_.latency_spike_us;
         if (trace_ring_)
-            trace_ring_->record(obs::EventKind::Fault, perf::nowUs(), -1,
+            trace_ring_->record(obs::EventKind::Fault, clock_(), -1,
                                 static_cast<std::int16_t>(trace_lane_),
                                 fn, kFaultSpike, plan_.latency_spike_us);
         if (plan_.spike_wall)

@@ -31,6 +31,8 @@
 
 namespace dadu::runtime {
 
+class DynamicsServer;
+
 /**
  * Deterministic fault schedule for one wrapped backend. Probabilities
  * are per submitted batch and drawn from a PRNG seeded with `seed`,
@@ -101,17 +103,16 @@ class FaultInjectingBackend final : public DynamicsBackend
     const FaultPlan &plan() const { return plan_; }
 
     /**
-     * Record every injected fault as an obs::EventKind::Fault on
-     * @p ring (null disables, the default). The decorator runs on its
-     * lane's serving thread, so pointing it at that lane's trace ring
-     * keeps the ring SPSC — injected faults then appear on the same
-     * track as the exec/retry events they caused.
+     * Record every injected fault as an obs::EventKind::Fault on lane
+     * @p lane's trace ring of @p server, stamped with the server's
+     * clock (DynamicsServer::clock), so the faults sit on the same
+     * timeline as the exec/retry events they caused. A server without
+     * a trace buffer detaches (the default: no fault events). The
+     * decorator runs on its lane's serving thread, so recording on
+     * that lane's ring keeps the ring SPSC. Call after the server's
+     * final setPolicy (which rebuilds the trace buffer) and setClock.
      */
-    void setTraceRing(obs::TraceRing *ring, int lane = -1)
-    {
-        trace_ring_ = ring;
-        trace_lane_ = lane;
-    }
+    void attachTrace(DynamicsServer &server, int lane);
 
     // Fault counters, for tests asserting exact accounting.
     long batchesSeen() const { return batches_; }
@@ -138,6 +139,7 @@ class FaultInjectingBackend final : public DynamicsBackend
     mutable unsigned clone_count_ = 0;
     obs::TraceRing *trace_ring_ = nullptr; ///< not cloned; attach per lane
     int trace_lane_ = -1;
+    double (*clock_)() = nullptr; ///< the attached server's clock
 };
 
 } // namespace dadu::runtime

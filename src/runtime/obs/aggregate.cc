@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "perf/timing.h"
 #include "runtime/obs/export.h"
 #include "runtime/server.h"
 
@@ -315,7 +314,7 @@ void ObsAggregator::stop()
 void ObsAggregator::tickOnce()
 {
     ObsSample s;
-    s.t_us = perf::nowUs();
+    s.t_us = server_.clock()();
     s.pending_jobs = server_.pending();
     const int lanes = server_.backendCount();
     s.lanes.resize(static_cast<std::size_t>(lanes));

@@ -55,7 +55,7 @@ struct LaneSample
 struct ObsSample
 {
     std::uint64_t seq = 0; ///< tick number, strictly increasing
-    double t_us = 0.0;     ///< perf::nowUs() at the tick
+    double t_us = 0.0;     ///< the server's clock at the tick
     std::uint64_t pending_jobs = 0;
     std::vector<LaneSample> lanes;
     /** Cumulative counter values (Counter enum order). */

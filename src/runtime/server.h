@@ -176,6 +176,11 @@ class DynamicsServer
      */
     void setClock(Clock clock);
 
+    /** The clock setClock installed (perf::nowUs unless replaced).
+     *  Everything that stamps this server's trace or telemetry reads
+     *  it, so one run lives on one timeline. */
+    Clock clock() const { return clock_; }
+
     /**
      * Enqueue a flat batch of @p count requests on backend
      * @p backend_id (kLeastLoaded picks the lane with the least

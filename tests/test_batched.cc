@@ -9,6 +9,9 @@
  *  - a counted global allocator shows zero heap allocations in the
  *    steady-state hot loop, both for the single-thread workspace
  *    path and for a whole batched dispatch;
+ *  - every ragged remainder r ∈ 1..W−1 at W ∈ {4, 8, 16} — one
+ *    masked pack for r ≥ 2, the scalar kernel for r = 1 — matches the
+ *    scalar engine bitwise for ∆FD, ∆iFD, FD and ∆ID, dense and gated;
  *  - CpuBatchedBackend runs ID, M and ∆ID on the engine, bitwise
  *    equal to the scalar kernels, gated ∆ID included; external
  *    forces and mixed column masks fall back to the per-point
@@ -340,13 +343,8 @@ TEST(BatchedEngine, SingleThreadEngineRunsInline)
 }
 
 // ---------------------------------------------------------------------
-// CpuBatchedBackend: ID, M and ∆ID on the engine, and the fallback.
+// Bit-exact comparison (EXPECT_EQ would pass -0.0 against +0.0).
 // ---------------------------------------------------------------------
-
-using dadu::runtime::CpuBatchedBackend;
-using dadu::runtime::DynamicsRequest;
-using dadu::runtime::DynamicsResult;
-using dadu::runtime::FunctionType;
 
 bool
 sameBits(double a, double b)
@@ -372,6 +370,110 @@ expectSameBits(const MatrixX &a, const MatrixX &b, const char *what)
             EXPECT_TRUE(sameBits(a(r, c), b(r, c)))
                 << what << " (" << r << ", " << c << ")";
 }
+
+// ---------------------------------------------------------------------
+// Ragged remainders: a batch of W + r points runs one full pack and a
+// remainder of r, which goes through one masked pack at the narrowest
+// width that holds it (r ≥ 2) or the scalar kernel (r = 1). Both must
+// equal the scalar engine bit for bit.
+// ---------------------------------------------------------------------
+
+/** Every output field a batch can write, per point. */
+struct PointOut
+{
+    VectorX tau, qdd;
+    MatrixX minv, d_dq, d_dqd;
+};
+
+BatchedDynamics::Outputs
+outputsOf(std::vector<PointOut> &o)
+{
+    BatchedDynamics::Outputs out;
+    out.tau = {o.data(), &PointOut::tau};
+    out.qdd = {o.data(), &PointOut::qdd};
+    out.minv = {o.data(), &PointOut::minv};
+    out.d_dq = {o.data(), &PointOut::d_dq};
+    out.d_dqd = {o.data(), &PointOut::d_dqd};
+    return out;
+}
+
+TEST(BatchedRemainder, EveryRemainderMatchesScalarBitwise)
+{
+    using F = BatchedDynamics::Function;
+    const struct
+    {
+        const char *name;
+        F fn;
+        bool gates;
+    } fns[] = {{"dFD", F::DeltaFd, true},
+               {"diFD", F::DeltaiFd, true},
+               {"FD", F::Fd, false},
+               {"dID", F::DeltaId, true}};
+    for (const auto make : {dadu::model::makeIiwa, makeHyq, makeAtlas}) {
+        const RobotModel robot = make();
+        const int nv = robot.nv();
+        // Enough points for the widest batch, W = 16 plus r = 15.
+        const int kMaxN = 31;
+        const Batch in = randomBatch(robot, kMaxN, 211);
+        std::vector<MatrixX> minv(kMaxN);
+        DynamicsWorkspace ws(robot);
+        for (int i = 0; i < kMaxN; ++i)
+            massMatrixInverse(robot, ws, in.q[i], minv[i]);
+        const BatchedDynamics::Inputs inputs{in.q.data(), in.qd.data(),
+                                             in.tau.data(), minv.data()};
+        ColumnPlan gated;
+        ASSERT_TRUE(gated.resolve({1, nv - 2}, nv));
+
+        BatchedDynamics scalar(robot, 1), packed(robot, 1);
+        scalar.setLaneWidth(1);
+        for (const auto &f : fns) {
+            for (const ColumnPlan *plan :
+                 {(const ColumnPlan *)nullptr, (const ColumnPlan *)&gated}) {
+                if (plan && !f.gates)
+                    continue;
+                for (int w : {4, 8, 16}) {
+                    packed.setLaneWidth(w);
+                    for (int r = 1; r < w; ++r) {
+                        SCOPED_TRACE(testing::Message()
+                                     << nv << "-DOF " << f.name
+                                     << (plan ? " gated" : " dense")
+                                     << " W=" << w << " r=" << r);
+                        const int n = w + r;
+                        std::vector<PointOut> want(n), got(n);
+                        scalar.evaluate(f.fn, inputs, n, outputsOf(want),
+                                        plan);
+                        const std::uint64_t before = packed.packedPoints();
+                        packed.evaluate(f.fn, inputs, n, outputsOf(got),
+                                        plan);
+                        EXPECT_EQ(packed.packedPoints() - before,
+                                  static_cast<std::uint64_t>(
+                                      r >= 2 ? n : w));
+                        for (int i = 0; i < n; ++i) {
+                            SCOPED_TRACE(testing::Message() << "point " << i);
+                            expectSameBits(want[i].tau, got[i].tau, "tau");
+                            expectSameBits(want[i].qdd, got[i].qdd, "qdd");
+                            expectSameBits(want[i].minv, got[i].minv,
+                                           "minv");
+                            expectSameBits(want[i].d_dq, got[i].d_dq,
+                                           "d_dq");
+                            expectSameBits(want[i].d_dqd, got[i].d_dqd,
+                                           "d_dqd");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// CpuBatchedBackend: ID, M and ∆ID on the engine, and the fallback.
+// ---------------------------------------------------------------------
+
+using dadu::runtime::CpuBatchedBackend;
+using dadu::runtime::DynamicsRequest;
+using dadu::runtime::DynamicsResult;
+using dadu::runtime::FunctionType;
 
 /** The scalar kernels of ID, M and ∆ID on one request. */
 DynamicsResult
@@ -445,9 +547,12 @@ TEST(CpuBackendEngine, IdMDeltaIdMatchScalarBitwise)
                 const std::uint64_t packed = backend.engine().packedPoints();
                 ASSERT_EQ(backend.submit(fn, reqs.data(), n, got.data()),
                           dadu::runtime::SubmitStatus::Ok);
-                // Two chunks of n/2 points, each packing whole groups
-                // of 8 — the engine ran the batch.
-                const std::uint64_t want_packed = 2 * (n / 2 / 8 * 8);
+                // Two chunks of n/2 and n - n/2 points: a chunk of two
+                // or more runs wholly in packs (its remainder masked),
+                // a one-point chunk scalar — the engine ran the batch.
+                const auto packs = [](int c) { return c >= 2 ? c : 0; };
+                const std::uint64_t want_packed =
+                    packs(n / 2) + packs(n - n / 2);
                 EXPECT_EQ(backend.engine().packedPoints() - packed,
                           want_packed);
                 expectMatchesScalar(robot, reqs, got, fn);
@@ -471,7 +576,8 @@ TEST(CpuBackendEngine, UniformGatedDeltaIdRunsOnEngine)
     ASSERT_EQ(backend.submit(FunctionType::DeltaID, reqs.data(), n,
                              got.data()),
               dadu::runtime::SubmitStatus::Ok);
-    EXPECT_EQ(backend.engine().packedPoints() - packed, 16u);
+    EXPECT_EQ(backend.engine().packedPoints() - packed, 20u)
+        << "two packs: 8 points, then the 4-point remainder at W = 4";
     expectMatchesScalar(robot, reqs, got, FunctionType::DeltaID);
 
     // Dead columns are exactly +0.0; live ones carry the dense values.

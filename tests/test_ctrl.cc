@@ -15,7 +15,8 @@
  *    Ldlt Riccati paths;
  *  - the structured Riccati step bitwise against the dense MatrixX
  *    formulation it replaced (kept here as the oracle), on serial,
- *    floating-base and spherical-joint robots;
+ *    floating-base and spherical-joint robots, with its products on
+ *    the build the host dispatches to (x86-64-v4 where it runs);
  *  - non-finite input (a NaN initial state or Jacobian) ends in an
  *    explicit outcome: rejected iterations, a stall or the
  *    iteration cap, never an accepted non-finite trajectory;
@@ -44,6 +45,7 @@
 #include "ctrl/mpc_session.h"
 #include "ctrl/riccati.h"
 #include "ctrl/scenarios.h"
+#include "linalg/gemm.h"
 #include "model/builders.h"
 #include "model/quaternion.h"
 #include "runtime/backends.h"
@@ -542,6 +544,12 @@ TEST(Riccati, StructuredStepBitwiseEqualsDenseOracle)
         {model::makeAtlas(), "atlas (nv 36, floating)"},
         {makeBallJointArm(), "ball-arm (nv 8, spherical)"},
     };
+    // The sweep runs its products on the dispatched build: x86-64-v4
+    // on a host that runs it, so the oracle checks that build.
+    const linalg::GemmSet *v4 = linalg::v4Gemm();
+    ASSERT_EQ(&linalg::activeGemm(),
+              v4 != nullptr ? v4 : &linalg::base::gemmKernels());
+    SCOPED_TRACE(v4 != nullptr ? "products: v4 build" : "products: base build");
     const double h = 0.02;
     for (const Case &c : cases) {
         SCOPED_TRACE(c.label);

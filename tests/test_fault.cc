@@ -5,6 +5,8 @@
  *  - FaultInjectingBackend executes its seeded FaultPlan
  *    deterministically (identical plans → identical fault sequences);
  *  - transient faults retry and succeed with exact accounting;
+ *  - on a server with a manual clock (setClock), injected faults,
+ *    lane events and aggregator samples all carry that clock;
  *  - NaN-corrupted batches are caught by server-side validation and
  *    retried until clean;
  *  - a lane that dies mid-drain fails its work over: unfaulted tasks
@@ -37,6 +39,8 @@
 #include "perf/timing.h"
 #include "runtime/backends.h"
 #include "runtime/fault.h"
+#include "runtime/obs/aggregate.h"
+#include "runtime/obs/trace.h"
 #include "runtime/sched/admission.h"
 #include "runtime/server.h"
 #include "test_support.h"
@@ -307,6 +311,74 @@ TEST(FaultServer, TransientRetryThenSucceedAccounting)
         EXPECT_EQ(server.jobOutcome(jobs[j]), JobOutcome::Completed);
         for (int i = 0; i < 4; ++i)
             expectBitwiseEqual(results[j][i].qdd, reqs[i].qd);
+    }
+}
+
+// One run, one timeline: under DynamicsServer::setClock the injected
+// faults, the lane events they cause and the aggregator's samples are
+// all stamped with the server's clock, never the wall clock.
+std::atomic<long long> g_manual_ticks{0};
+
+/** A manual clock far from any steady-clock reading (~31 years of
+ *  µs); every read advances it by 1 µs, so it is monotonic across
+ *  the client, lane and aggregator threads. */
+constexpr double kManualBaseUs = 1e15;
+
+double
+manualClockUs()
+{
+    return kManualBaseUs + static_cast<double>(g_manual_ticks.fetch_add(1));
+}
+
+TEST(FaultServer, FaultsAndAggregatorSamplesUseTheServerClock)
+{
+    const RobotModel robot = model::makeSerialChain(3);
+    const auto reqs = randomRequests(robot, 4, 31);
+    FaultPlan plan;
+    plan.transient_every_n = 3;
+    EchoBackend inner(robot);
+    FaultInjectingBackend backend(inner, plan);
+    DynamicsServer server(backend);
+    server.setClock(manualClockUs);
+    SchedConfig cfg;
+    cfg.max_retries = 2;
+    cfg.obs.trace = true;
+    cfg.obs.metrics = true;
+    cfg.obs.aggregate_interval_ms = 1;
+    server.setPolicy(cfg);
+    backend.attachTrace(server, 0);
+    server.start();
+
+    std::vector<std::vector<DynamicsResult>> results(
+        6, std::vector<DynamicsResult>(4));
+    for (auto &r : results)
+        server.wait(server.submit(FunctionType::FD, reqs.data(), 4,
+                                  r.data()));
+    server.stop();
+    const double end_us = manualClockUs();
+
+    // Every event of the lane's ring, the injected faults included.
+    const runtime::obs::TraceRing &ring = server.traceBuffer()->lane(0);
+    ASSERT_GT(ring.retained(), 0u);
+    ASSERT_EQ(ring.dropped(), 0u);
+    int faults = 0;
+    for (std::size_t i = 0; i < ring.retained(); ++i) {
+        const runtime::obs::TraceEvent ev = ring.at(i);
+        faults += ev.kind == runtime::obs::EventKind::Fault;
+        EXPECT_GE(ev.t_us, kManualBaseUs) << "event " << i;
+        EXPECT_LE(ev.t_us, end_us) << "event " << i;
+    }
+    EXPECT_EQ(faults, backend.transientFaults());
+    EXPECT_GE(faults, 2);
+
+    // The aggregator ticked at least once (its final tick on stop).
+    const runtime::obs::ObsAggregator *agg = server.aggregator();
+    ASSERT_NE(agg, nullptr);
+    const std::vector<runtime::obs::ObsSample> samples = agg->history();
+    ASSERT_FALSE(samples.empty());
+    for (const runtime::obs::ObsSample &smp : samples) {
+        EXPECT_GE(smp.t_us, kManualBaseUs) << "sample " << smp.seq;
+        EXPECT_LE(smp.t_us, end_us) << "sample " << smp.seq;
     }
 }
 

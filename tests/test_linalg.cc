@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the fixed-size and dynamic linear algebra types,
  * the factorizations, and the register-tiled products of gemm.h
- * (bitwise parity with the MatrixX products they stand in for).
+ * (bitwise parity with the MatrixX products they stand in for, and
+ * between the default-target and x86-64-v4 builds).
  */
 
 #include <gtest/gtest.h>
@@ -389,6 +390,51 @@ TEST(Gemm, AccumulatesOntoCInAscendingOrder)
             }
         }
     }
+}
+
+// The default-target and x86-64-v4 builds of the products agree bit
+// for bit at every shape: each tile width sums every element in the
+// same order, so the build that runs never shows in a result.
+TEST(GemmIsa, V4BuildBitwiseMatchesDefaultBuild)
+{
+    const char *why = "";
+    const GemmSet *v4 = v4Gemm(&why);
+    if (v4 == nullptr)
+        GTEST_SKIP() << "no x86-64-v4 products to compare: " << why;
+    const GemmSet &base = base::gemmKernels();
+    EXPECT_EQ(&activeGemm(), v4) << "a host that runs v4 must dispatch to it";
+
+    // Operands and C are sub-blocks of 41-wide storage at a nonzero
+    // offset, so every stride differs from its width and no block
+    // starts on the storage's first element; C starts nonzero, so the
+    // accumulation onto it is compared too.
+    constexpr int kMax = 37, kLd = 41, kOff = 3 * kLd + 2;
+    const std::vector<double> a = randomWithZeros(kOff + kMax * kLd, 6);
+    const std::vector<double> b = randomWithZeros(kOff + kMax * kLd, 7);
+    const std::vector<double> c0 = randomWithZeros(kOff + kMax * kLd, 8);
+    const double *ab = a.data() + kOff;
+    const double *bb = b.data() + kOff;
+    long mismatches = 0;
+    for (int m = 1; m <= kMax; ++m) {
+        for (int n = 1; n <= kMax; ++n) {
+            for (int k = 1; k <= kMax; ++k) {
+                for (bool trans : {false, true}) {
+                    std::vector<double> cb = c0, cv = c0;
+                    const GemmKernel fb =
+                        trans ? base.transAccumulate : base.accumulate;
+                    const GemmKernel fv =
+                        trans ? v4->transAccumulate : v4->accumulate;
+                    fb(m, n, k, ab, kLd, bb, kLd, cb.data() + kOff, kLd);
+                    fv(m, n, k, ab, kLd, bb, kLd, cv.data() + kOff, kLd);
+                    // Whole storage: nothing outside the m x n block
+                    // may change either.
+                    for (std::size_t i = 0; i < c0.size(); ++i)
+                        mismatches += !sameBits(cb[i], cv[i]);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Ldlt, MultiRhsSolveBitwiseEqualsColumnByColumn)

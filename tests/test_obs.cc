@@ -582,8 +582,8 @@ TEST(ObsServer, MpcOverloadTraceReconstructsMissedJob)
     ASSERT_NE(buf, nullptr);
     // The fault injectors record on their lane's ring: same producer
     // thread as the lane's serving events, so SPSC holds.
-    lane0.setTraceRing(&buf->lane(0), 0);
-    lane1.setTraceRing(&buf->lane(1), 1);
+    lane0.attachTrace(server, 0);
+    lane1.attachTrace(server, 1);
     server.start();
 
     // Four closed-loop MPC clients with a DELIBERATELY tight

@@ -10,8 +10,8 @@
  *  - the default-target and x86-64-v4 builds of every pack kernel
  *    give the same bits (on hosts that run both);
  *  - masked lanes: inactive lanes are never written;
- *  - the batched engine splits full packs / ragged remainder without
- *    changing any point's bits, at any configured lane width
+ *  - the batched engine splits full packs / masked ragged remainder
+ *    without changing any point's bits, at any configured lane width
  *    (batch-width-invariant determinism);
  *  - the packed submit path performs zero steady-state heap
  *    allocations (counted global allocator, aligned forms included —
@@ -508,8 +508,8 @@ TEST(SoaMask, InactiveLanesNeverWritten)
 
 // -----------------------------------------------------------------
 // Engine: ragged remainder + batch-width invariance. N = 13 runs as
-// one full pack of 8 plus 5 scalar points (or 3x4 + 1, or 13 scalar),
-// and every split produces identical bits.
+// one full pack of 8 plus a masked pack of 5 (or 3x4 + 1 scalar point,
+// or 13 scalar), and every split produces identical bits.
 // -----------------------------------------------------------------
 
 TEST(SoaEngine, RaggedRemainderMatchesScalarBitwise)
@@ -617,21 +617,27 @@ TEST(SoaArena, AlignedAllocations)
 TEST(SoaZeroAlloc, PackedEngineSteadyState)
 {
     const model::RobotModel robot = model::makeIiwa();
-    const int n = 13; // full pack + ragged remainder
-    const Points p = randomPoints(robot, n);
+    // 13 = a full pack of 8 + a masked remainder of 5 (W = 8);
+    // 11 = 8 + a masked remainder of 3, packed at the narrower W = 4.
+    const Points p = randomPoints(robot, 13);
+    const auto batches = [&](BatchedDynamics &engine) {
+        for (int n : {13, 11}) {
+            engine.batchForwardDynamics(p.q.data(), p.qd.data(),
+                                        p.tau.data(), n);
+            engine.batchFdDerivatives(p.q.data(), p.qd.data(), p.tau.data(),
+                                      n);
+            engine.batchMinv(p.q.data(), n);
+        }
+    };
 
     BatchedDynamics engine(robot, 1);
     engine.setLaneWidth(8);
-    // Warm-up builds the SoA arenas and output vectors.
-    engine.batchForwardDynamics(p.q, p.qd, p.tau);
-    engine.batchFdDerivatives(p.q, p.qd, p.tau);
-    engine.batchMinv(p.q);
+    // Warm-up builds the SoA arenas of both widths and output vectors.
+    batches(engine);
 
     g_alloc_count.store(0);
     g_count_allocs.store(true);
-    engine.batchForwardDynamics(p.q, p.qd, p.tau);
-    engine.batchFdDerivatives(p.q, p.qd, p.tau);
-    engine.batchMinv(p.q);
+    batches(engine);
     g_count_allocs.store(false);
     EXPECT_EQ(g_alloc_count.load(), 0)
         << "steady-state packed batches must not allocate";
@@ -642,16 +648,17 @@ TEST(SoaZeroAlloc, PackedBackendSubmitSteadyState)
     const model::RobotModel robot = model::makeIiwa();
     runtime::CpuBatchedBackend backend(robot, 1);
     backend.engine().setLaneWidth(8);
-    const int n = 13;
+    // As above: remainders of 5 (masked at W = 8) and 3 (at W = 4).
+    const int sizes[] = {13, 11};
 
     std::mt19937 rng(29);
-    std::vector<runtime::DynamicsRequest> reqs(n);
+    std::vector<runtime::DynamicsRequest> reqs(13);
     for (auto &r : reqs) {
         r.q = robot.randomConfiguration(rng);
         r.qd = robot.randomVelocity(rng);
         r.qdd_or_tau = robot.randomVelocity(rng);
     }
-    std::vector<runtime::DynamicsResult> results(n);
+    std::vector<runtime::DynamicsResult> results(13);
 
     // Every function through the packs, one after another on the same
     // results — the mix a server lane sees.
@@ -660,18 +667,21 @@ TEST(SoaZeroAlloc, PackedBackendSubmitSteadyState)
                                 FunctionType::ID, FunctionType::M,
                                 FunctionType::DeltaID};
     runtime::BatchStats stats;
-    for (FunctionType fn : fns)
-        backend.submit(fn, reqs.data(), n, results.data(), &stats);
+    const auto submits = [&] {
+        for (int n : sizes)
+            for (FunctionType fn : fns)
+                backend.submit(fn, reqs.data(), n, results.data(), &stats);
+    };
+    submits();
     const std::uint64_t packed = backend.engine().packedPoints();
 
     g_alloc_count.store(0);
     g_count_allocs.store(true);
-    for (FunctionType fn : fns)
-        backend.submit(fn, reqs.data(), n, results.data(), &stats);
+    submits();
     g_count_allocs.store(false);
     EXPECT_EQ(backend.engine().packedPoints() - packed,
-              std::size(fns) * 8u)
-        << "each submit packs one full lane group of 8";
+              std::size(fns) * (13u + 11u))
+        << "every point runs in a pack, the remainders masked";
     EXPECT_EQ(g_alloc_count.load(), 0)
         << "steady-state packed submits must not allocate";
 }
